@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,37 +38,19 @@ from .series import (
 )
 from .strata import (
     DEFAULT_CLASS_CEILING,
-    POSITIVE_PARTITION_NOTE,
     ResourceGuardError,
-    deformation_bound,
-    dimension,
+    classify,
     enumerate_shapes,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 ND_DEGREE_CEILING = 200
+# N_d has more than 4300 decimal digits from d = 572 on, Python's default
+# limit for int-to-str conversion, so no E_d above this could be printed.
+ED_DEGREE_CEILING = 571
 
 _J_BY_SELECTOR = {"generic": JClass.GENERIC, "0": JClass.J_ZERO, "1728": JClass.J_1728}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, normalized from argv."""
-
-    command: str
-    output: str = "plain"
-    cache: str | None = None
-    max_d: int = 0
-    d: int = 0
-    j_selector: str = "all"
-    max_extra: int = 2
-    full: bool = False
-    include_circuits: bool = False
-    survivors_only: bool = False
-    ceiling: int = DEFAULT_CLASS_CEILING
-    series_file: str | None = None
-    point: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,33 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        output=getattr(args, "output", "plain"),
-        cache=getattr(args, "cache", None),
-        max_d=getattr(args, "max_d", 0),
-        d=getattr(args, "d", 0),
-        j_selector=getattr(args, "j_selector", "all"),
-        max_extra=getattr(args, "max_extra", 2),
-        full=getattr(args, "full", False),
-        include_circuits=getattr(args, "include_circuits", False),
-        survivors_only=getattr(args, "survivors_only", False),
-        ceiling=getattr(args, "ceiling", DEFAULT_CLASS_CEILING),
-        series_file=getattr(args, "file", None),
-        point=getattr(args, "at", None),
-    )
-
-
-def _table_for(cfg: RunConfig) -> RecursionTable:
-    if cfg.cache and Path(cfg.cache).exists():
-        return load_table(cfg.cache)
+def _table_for(args: argparse.Namespace) -> RecursionTable:
+    if args.cache and Path(args.cache).exists():
+        return load_table(args.cache)
     return RecursionTable()
 
 
-def _save_if_requested(cfg: RunConfig, table: RecursionTable) -> None:
-    if cfg.cache:
-        save_table(table, cfg.cache)
+def _save_if_requested(args: argparse.Namespace, table: RecursionTable) -> None:
+    if args.cache:
+        save_table(table, args.cache)
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
@@ -166,20 +129,20 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, separators=(",", ":")))
 
 
-def _cmd_nd(cfg: RunConfig) -> int:
-    if not 1 <= cfg.max_d <= ND_DEGREE_CEILING:
+def _cmd_nd(args: argparse.Namespace) -> int:
+    if not 1 <= args.max_d <= ND_DEGREE_CEILING:
         raise ValueError(
-            f"--max must be between 1 and {ND_DEGREE_CEILING}, got {cfg.max_d}"
+            f"--max must be between 1 and {ND_DEGREE_CEILING}, got {args.max_d}"
         )
-    table = _table_for(cfg)
-    rational_count(cfg.max_d, table)
-    _save_if_requested(cfg, table)
-    rows = [(d, table[d]) for d in range(1, cfg.max_d + 1)]
-    if cfg.output == "csv":
+    table = _table_for(args)
+    rational_count(args.max_d, table)
+    _save_if_requested(args, table)
+    rows = [(d, table[d]) for d in range(1, args.max_d + 1)]
+    if args.output == "csv":
         _emit_csv(["d", "N"], [[str(d), str(v)] for d, v in rows])
-    elif cfg.output == "json":
+    elif args.output == "json":
         _emit_json(
-            {"d_max": cfg.max_d, "values": [{"d": d, "N": str(v)} for d, v in rows]}
+            {"d_max": args.max_d, "values": [{"d": d, "N": str(v)} for d, v in rows]}
         )
     else:
         wd = max(len(str(d)) for d, _ in rows)
@@ -189,114 +152,111 @@ def _cmd_nd(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_ed(cfg: RunConfig) -> int:
-    table = _table_for(cfg)
+def _cmd_ed(args: argparse.Namespace) -> int:
+    if args.d > ED_DEGREE_CEILING:
+        raise ResourceGuardError(
+            f"--d {args.d} exceeds the ceiling {ED_DEGREE_CEILING}: counts above "
+            "it have more than 4300 digits, Python's int-to-str limit"
+        )
+    table = _table_for(args)
     classes = (
         list(_J_BY_SELECTOR.values())
-        if cfg.j_selector == "all"
-        else [_J_BY_SELECTOR[cfg.j_selector]]
+        if args.j_selector == "all"
+        else [_J_BY_SELECTOR[args.j_selector]]
     )
-    values = {j: elliptic_count(cfg.d, j, table) for j in classes}
-    zt = zt_invariant(cfg.d, table)
-    _save_if_requested(cfg, table)
-    if cfg.output == "json":
-        if cfg.j_selector == "all":
+    values = {j: elliptic_count(args.d, j, table) for j in classes}
+    zt = zt_invariant(args.d, table)
+    _save_if_requested(args, table)
+    if args.output == "json":
+        if args.j_selector == "all":
             _emit_json(
                 {
-                    "d": cfg.d,
+                    "d": args.d,
                     "E": {j.value: str(v) for j, v in values.items()},
                     "ZT": str(zt),
                 }
             )
         else:
             (j,) = classes
-            _emit_json({"d": cfg.d, "j": j.value, "E": str(values[j])})
-    elif cfg.output == "csv":
+            _emit_json({"d": args.d, "j": j.value, "E": str(values[j])})
+    elif args.output == "csv":
         _emit_csv(
             ["d", "j", "E", "ZT"],
-            [[str(cfg.d), j.value, str(values[j]), str(zt)] for j in classes],
+            [[str(args.d), j.value, str(values[j]), str(zt)] for j in classes],
         )
     else:
-        print(f"d = {cfg.d}")
+        print(f"d = {args.d}")
         for j in classes:
             print(f"E[{j.value}] = {values[j]}")
         print(f"ZT = {zt}")
     return 0
 
 
-def _shape_row(shape_class, d: int) -> dict:
-    shape = shape_class.shape
-    dim = dimension(shape, d)
-    bound = deformation_bound(shape, d)
-    survivor = bound >= 6 * d - 2
-    note = None
-    if (
-        shape_class.kind == "tree"
-        and shape_class.e == 0
-        and shape_class.k == 2
-        and all(w > 0 for w in shape.weights[1:])
-    ):
-        note = POSITIVE_PARTITION_NOTE
-    return {
-        "kind": shape_class.kind,
-        "shape": shape.canonical_key,
-        "e": shape_class.e,
-        "k": shape_class.k,
-        "dim": dim,
-        "bound": bound,
-        "survivor": survivor,
-        "note": note,
-        "multiplicity": shape_class.multiplicity,
-    }
-
-
-def _cmd_strata(cfg: RunConfig) -> int:
+def _cmd_strata(args: argparse.Namespace) -> int:
+    d = args.d
     shapes = enumerate_shapes(
-        cfg.d,
-        cfg.max_extra,
-        collapsed=not cfg.full,
-        include_circuits=cfg.include_circuits,
-        ceiling=cfg.ceiling,
+        d,
+        args.max_extra,
+        collapsed=not args.full,
+        include_circuits=args.include_circuits,
+        ceiling=args.ceiling,
     )
-    rows = [_shape_row(sc, cfg.d) for sc in shapes]
+    rows = [classify(sc, d) for sc in shapes]
     marked_total = sum(sc.multiplicity for sc in shapes)
     single_tail = (
-        sum(r["multiplicity"] for r in rows if r["kind"] == "tree" and r["e"] == 0 and r["k"] == 1)
-        if cfg.max_extra >= 1
+        sum(
+            sc.multiplicity
+            for sc in shapes
+            if sc.k == 1 and sc.kind == "tree" and sc.e == 0
+        )
+        if args.max_extra >= 1
         else None
     )
-    expected_tail = 2 ** (3 * cfg.d - 1) if cfg.max_extra >= 1 else None
-    survivors = sum(1 for r in rows if r["survivor"])
-    shown = [r for r in rows if r["survivor"]] if cfg.survivors_only else rows
+    expected_tail = 2 ** (3 * d - 1) if args.max_extra >= 1 else None
+    survivors = sum(1 for r in rows if r.survivor)
+    shown = [r for r in rows if r.survivor] if args.survivors_only else rows
 
-    if cfg.output == "csv":
+    if args.output == "csv":
         _emit_csv(
             ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"],
             [
                 [
-                    r["kind"],
-                    r["shape"],
-                    str(r["e"]),
-                    str(r["k"]),
-                    str(r["dim"]),
-                    str(r["bound"]),
-                    "true" if r["survivor"] else "false",
-                    r["note"] or "",
-                    str(r["multiplicity"]),
+                    sc.kind,
+                    sc.shape.canonical_key,
+                    str(sc.e),
+                    str(sc.k),
+                    str(r.dim),
+                    str(r.bound),
+                    "true" if r.survivor else "false",
+                    r.note or "",
+                    str(sc.multiplicity),
                 ]
                 for r in shown
+                for sc in (r.shape_class,)
             ],
         )
-    elif cfg.output == "json":
+    elif args.output == "json":
         _emit_json(
             {
-                "d": cfg.d,
-                "max_extra": cfg.max_extra,
-                "mode": "full" if cfg.full else "collapsed",
-                "include_circuits": cfg.include_circuits,
-                "survivors_only": cfg.survivors_only,
+                "d": d,
+                "max_extra": args.max_extra,
+                "mode": "full" if args.full else "collapsed",
+                "include_circuits": args.include_circuits,
+                "survivors_only": args.survivors_only,
                 "shapes": [
-                    {**r, "multiplicity": str(r["multiplicity"])} for r in shown
+                    {
+                        "kind": sc.kind,
+                        "shape": sc.shape.canonical_key,
+                        "e": sc.e,
+                        "k": sc.k,
+                        "dim": r.dim,
+                        "bound": r.bound,
+                        "survivor": r.survivor,
+                        "note": r.note,
+                        "multiplicity": str(sc.multiplicity),
+                    }
+                    for r in shown
+                    for sc in (r.shape_class,)
                 ],
                 "summary": {
                     "classes": len(rows),
@@ -312,17 +272,18 @@ def _cmd_strata(cfg: RunConfig) -> int:
         cols = ["kind", "e", "k", "dim", "bound", "survivor", "multiplicity", "shape", "note"]
         cells = [
             [
-                r["kind"],
-                str(r["e"]),
-                str(r["k"]),
-                str(r["dim"]),
-                str(r["bound"]),
-                "yes" if r["survivor"] else "no",
-                str(r["multiplicity"]),
-                r["shape"],
-                r["note"] or "-",
+                sc.kind,
+                str(sc.e),
+                str(sc.k),
+                str(r.dim),
+                str(r.bound),
+                "yes" if r.survivor else "no",
+                str(sc.multiplicity),
+                sc.shape.canonical_key,
+                r.note or "-",
             ]
             for r in shown
+            for sc in (r.shape_class,)
         ]
         if cells:
             widths = [
@@ -337,29 +298,29 @@ def _cmd_strata(cfg: RunConfig) -> int:
         if single_tail is not None:
             print(
                 f"single-tail family: {single_tail} "
-                f"(expected 2^{3 * cfg.d - 1} = {expected_tail})"
+                f"(expected 2^{3 * args.d - 1} = {expected_tail})"
             )
         print(f"survivors: {survivors}")
     return 0
 
 
-def _cmd_series(cfg: RunConfig) -> int:
-    text = Path(cfg.series_file).read_text(encoding="utf-8")
+def _cmd_series(args: argparse.Namespace) -> int:
+    text = Path(args.file).read_text(encoding="utf-8")
     series = series_from_json(text)
-    if cfg.point is None:
+    if args.at is None:
         at_infinity, point, point_label = True, None, "infinity"
     else:
         try:
-            point = Fraction(cfg.point)
+            point = Fraction(args.at)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--at expects an exact rational, got {cfg.point!r}") from None
+            raise ValueError(f"--at expects an exact rational, got {args.at!r}") from None
         at_infinity, point_label = False, str(point)
     seq = vanishing_sequence(series, at_infinity=at_infinity, point=point)
     relation = root_sum_relation(series)
     k_text = None if relation is None else str(relation.k)
     degenerate = relation is not None and relation.degenerate
     criterion = relation is not None
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "degree": series.degree,
@@ -370,7 +331,7 @@ def _cmd_series(cfg: RunConfig) -> int:
                 "criterion": criterion,
             }
         )
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         _emit_csv(
             ["degree", "point", "a0", "a1", "a2", "K", "degenerate", "criterion"],
             [
@@ -399,16 +360,29 @@ def _cmd_series(cfg: RunConfig) -> int:
 _COMMANDS = {"nd": _cmd_nd, "ed": _cmd_ed, "strata": _cmd_strata, "series": _cmd_series}
 
 
+def _glue_at_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--at P`` as ``--at=P``: argparse reads a negative point
+    such as -2/5 standing alone as an option, not as the value of --at."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--at":
+            out[-1] = f"--at={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_at_values(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = _config_from(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except CacheError as exc:
         print(f"error: cache: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ feeding it is corrupt.
 from __future__ import annotations
 
 import math
-import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -123,8 +123,10 @@ class RecursionTable:
     recursion value over all lower entries.
     """
 
-    def __init__(self):
-        self._values: dict[int, int] = {1: 1}
+    def __init__(self, values: Mapping[int, int] | None = None):
+        """A table holding just N_1, or a copy of ``values`` (entries 1..n,
+        already validated, as ``load_table`` does)."""
+        self._values: dict[int, int] = {1: 1} if values is None else dict(values)
 
     def __getitem__(self, d: int) -> int:
         return self._values[d]
@@ -229,16 +231,15 @@ def save_table(table: RecursionTable, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def load_table(path: str | Path, rng: random.Random | None = None) -> RecursionTable:
+def load_table(path: str | Path) -> RecursionTable:
     """Load a cached table, refusing anything that fails validation.
 
     Beyond the syntactic checks (consecutive degrees from 1, decimal
-    values), the base entry must be exactly 1 and one randomly chosen
-    stored entry is re-derived from the lower entries before the file is
-    trusted.  ``rng`` only picks the entry to re-check.
+    values), the base entry must be exactly 1 and the top entry N_n is
+    re-derived from entries 1..n-1.  For every n <= 600 the recursion for
+    N_n has a non-zero coefficient on each lower entry, so one changed
+    entry anywhere in the file always makes that check fail.
     """
-    if rng is None:
-        rng = random.Random()
     values: dict[int, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -260,14 +261,11 @@ def load_table(path: str | Path, rng: random.Random | None = None) -> RecursionT
         raise CacheError(f"base entry must be 1, got {values[1]}", 1)
     n = len(values)
     if n >= 2:
-        probe = rng.randrange(2, n + 1)
-        expected = _recursion_value(probe, values)
-        if values[probe] != expected:
+        expected = _recursion_value(n, values)
+        if values[n] != expected:
             raise CacheError(
-                f"stored entry for degree {probe} is {values[probe]}, "
-                f"re-derivation gives {expected}",
-                probe,
+                f"re-deriving degree {n} from the lower entries gives "
+                f"{expected}, not the stored {values[n]}",
+                n,
             )
-    table = RecursionTable()
-    table._values = values
-    return table
+    return RecursionTable(values)

@@ -102,15 +102,20 @@ def _apply_perm(perm, weights, edges, leg_counts, leg_labels):
     return tuple(w), e, tuple(c), tuple(labs) if labs is not None else None
 
 
-@dataclass(frozen=True)
-class DistinguishedTree:
-    """Weighted tree with distinguished vertex 0 and marking legs.
+def _skeleton_automorphisms(g, perms) -> tuple[tuple[int, ...], ...]:
+    """The permutations in ``perms`` preserving g's weights and edge multiset."""
+    n = g.n_vertices
+    return tuple(
+        perm
+        for perm in perms
+        if all(g.weights[perm[i]] == g.weights[i] for i in range(n))
+        and _normalized_edges((perm[a], perm[b]) for a, b in g.edges) == g.edges
+    )
 
-    ``weights[0]`` is the distinguished vertex's weight (called e in the
-    dimension formulas); the other vertices are the k "extra" vertices.
-    ``leg_labels`` is optional: when absent the object only records how
-    many legs sit on each vertex.
-    """
+
+@dataclass(frozen=True)
+class _MarkedGraph:
+    """Fields, validation and term grammar shared by both species."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -126,11 +131,6 @@ class DistinguishedTree:
                 self, "leg_labels", tuple(tuple(sorted(l)) for l in self.leg_labels)
             )
         _validate_common(self.weights, self.edges, self.leg_counts, self.leg_labels)
-        n = self.n_vertices
-        if len(self.edges) != n - 1 or not _is_connected(n, self.edges):
-            raise ValueError("edge set is not a tree on the given vertices")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("parallel edges are not allowed in a tree")
 
     @property
     def n_vertices(self) -> int:
@@ -138,12 +138,8 @@ class DistinguishedTree:
 
     @property
     def k(self) -> int:
-        """Number of non-distinguished vertices."""
+        """Vertex count minus one: for trees, the non-distinguished vertices."""
         return len(self.weights) - 1
-
-    @property
-    def distinguished_weight(self) -> int:
-        return self.weights[0]
 
     @property
     def total_weight(self) -> int:
@@ -154,8 +150,8 @@ class DistinguishedTree:
         return sum(self.leg_counts)
 
     def valence(self, v: int) -> int:
-        """Incident edges plus legs at v."""
-        deg = sum(1 for a, b in self.edges if v in (a, b))
+        """Incident edges, with multiplicity, plus legs at v (no self-loops exist)."""
+        deg = sum(1 for a, b in self.edges if a == v or b == v)
         return deg + self.leg_counts[v]
 
     def _leg_token(self, v: int) -> str:
@@ -164,8 +160,37 @@ class DistinguishedTree:
         return "{" + ",".join(str(x) for x in self.leg_labels[v]) + "}"
 
     def _term(self, v: int, parent: int, adj) -> str:
+        """The grammar's ``term`` for v and its subtree away from ``parent``."""
         kids = sorted(self._term(u, v, adj) for u in adj[v] if u != parent)
         return f"({self.weights[v]};{self._leg_token(v)};[{','.join(kids)}])"
+
+    def relabeled(self, perm):
+        """The same graph with vertex i renamed perm[i]."""
+        w, e, c, labs = _apply_perm(perm, self.weights, self.edges, self.leg_counts, self.leg_labels)
+        return type(self)(w, e, c, labs)
+
+
+@dataclass(frozen=True)
+class DistinguishedTree(_MarkedGraph):
+    """Weighted tree with distinguished vertex 0 and marking legs.
+
+    ``weights[0]`` is the distinguished vertex's weight (called e in the
+    dimension formulas); the other vertices are the k "extra" vertices.
+    ``leg_labels`` is optional: when absent the object only records how
+    many legs sit on each vertex.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.n_vertices
+        if len(self.edges) != n - 1 or not _is_connected(n, self.edges):
+            raise ValueError("edge set is not a tree on the given vertices")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("parallel edges are not allowed in a tree")
+
+    @property
+    def distinguished_weight(self) -> int:
+        return self.weights[0]
 
     @cached_property
     def canonical_key(self) -> str:
@@ -179,28 +204,18 @@ class DistinguishedTree:
         profiles.  Brute force is fine at the supported sizes (at most 5
         vertices).
         """
-        n = self.n_vertices
-        edge_set = set(self.edges)
-        found = []
-        for tail in itertools.permutations(range(1, n)):
-            perm = (0,) + tail
-            if any(self.weights[perm[i]] != self.weights[i] for i in range(n)):
-                continue
-            mapped = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in self.edges}
-            if mapped == edge_set:
-                found.append(perm)
-        return tuple(found)
+        perms = ((0,) + tail for tail in itertools.permutations(range(1, self.n_vertices)))
+        return _skeleton_automorphisms(self, perms)
 
     def relabeled(self, perm) -> "DistinguishedTree":
         """The same tree with vertex i renamed perm[i]; perm must fix 0."""
         if perm[0] != 0:
             raise ValueError("relabelings of a distinguished tree must fix vertex 0")
-        w, e, c, labs = _apply_perm(perm, self.weights, self.edges, self.leg_counts, self.leg_labels)
-        return DistinguishedTree(w, e, c, labs)
+        return super().relabeled(perm)
 
 
 @dataclass(frozen=True)
-class CircuitGraph:
+class CircuitGraph(_MarkedGraph):
     """Connected weighted multigraph with exactly one independent cycle.
 
     Edges form a multiset (a pair listed twice is a double edge, the
@@ -208,20 +223,8 @@ class CircuitGraph:
     edge count == vertex count pins the first Betti number to 1.
     """
 
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    leg_counts: tuple[int, ...]
-    leg_labels: tuple[tuple[int, ...], ...] | None = None
-
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "edges", _normalized_edges(self.edges))
-        object.__setattr__(self, "leg_counts", tuple(self.leg_counts))
-        if self.leg_labels is not None:
-            object.__setattr__(
-                self, "leg_labels", tuple(tuple(sorted(l)) for l in self.leg_labels)
-            )
-        _validate_common(self.weights, self.edges, self.leg_counts, self.leg_labels)
+        super().__post_init__()
         n = self.n_vertices
         if n < 2:
             raise ValueError("a circuit needs at least 2 vertices")
@@ -231,27 +234,6 @@ class CircuitGraph:
             )
         if not _is_connected(n, self.edges):
             raise ValueError("graph is not connected")
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.weights)
-
-    @property
-    def k(self) -> int:
-        """Vertex count minus one, mirroring the tree convention."""
-        return len(self.weights) - 1
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-    @property
-    def marking_count(self) -> int:
-        return sum(self.leg_counts)
-
-    def valence(self, v: int) -> int:
-        deg = sum((a == v) + (b == v) for a, b in self.edges)
-        return deg + self.leg_counts[v]
 
     @cached_property
     def circuit(self) -> tuple[int, ...]:
@@ -299,15 +281,6 @@ class CircuitGraph:
         """Sum of the weights on the circuit (e in the dimension formulas)."""
         return sum(self.weights[v] for v in self.circuit)
 
-    def _leg_token(self, v: int) -> str:
-        if self.leg_labels is None:
-            return str(self.leg_counts[v])
-        return "{" + ",".join(str(x) for x in self.leg_labels[v]) + "}"
-
-    def _hang_term(self, v: int, parent: int, adj) -> str:
-        kids = sorted(self._hang_term(u, v, adj) for u in adj[v] if u != parent)
-        return f"({self.weights[v]};{self._leg_token(v)};[{','.join(kids)}])"
-
     @cached_property
     def canonical_key(self) -> str:
         """Minimal rotation/reflection of the cycle of hanging-tree terms."""
@@ -317,7 +290,7 @@ class CircuitGraph:
             (a, b) for a, b in self.edges if not (a in on_circuit and b in on_circuit)
         ]
         adj = _adjacency(self.n_vertices, hang_edges)
-        terms = [self._hang_term(v, -1, adj) for v in cyc]
+        terms = [self._term(v, -1, adj) for v in cyc]
         m = len(terms)
         best = None
         for seq in (terms, terms[::-1]):
@@ -329,17 +302,4 @@ class CircuitGraph:
 
     def skeleton_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All weight- and edge-multiset-preserving vertex permutations."""
-        n = self.n_vertices
-        target = self.edges
-        found = []
-        for perm in itertools.permutations(range(n)):
-            if any(self.weights[perm[i]] != self.weights[i] for i in range(n)):
-                continue
-            mapped = _normalized_edges((perm[a], perm[b]) for a, b in self.edges)
-            if mapped == target:
-                found.append(perm)
-        return tuple(found)
-
-    def relabeled(self, perm) -> "CircuitGraph":
-        w, e, c, labs = _apply_perm(perm, self.weights, self.edges, self.leg_counts, self.leg_labels)
-        return CircuitGraph(w, e, c, labs)
+        return _skeleton_automorphisms(self, itertools.permutations(range(self.n_vertices)))

@@ -36,6 +36,7 @@ __all__ = [
     "dimension",
     "deformation_bound",
     "enumerate_shapes",
+    "classify",
     "classify_survivors",
 ]
 
@@ -130,7 +131,7 @@ class ShapeClass:
         return self.shape.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedStratum:
     """A shape class with its dimension data and survivor verdict."""
 
@@ -360,19 +361,36 @@ def enumerate_shapes(
     return out
 
 
-def classify_survivors(
-    d: int,
-    max_extra_vertices: int,
-    include_circuits: bool = True,
-    ceiling: int = DEFAULT_CLASS_CEILING,
-) -> list[ClassifiedStratum]:
-    """Split shape classes by whether they can meet 3d-1 general points.
+def classify(shape_class: ShapeClass, d: int) -> ClassifiedStratum:
+    """Dimension data and survivor verdict of one shape class.
 
     A stratum survives iff its deformation bound is at least 6d-2 (the
     codimension of 3d-1 point conditions).  Trees with e = 0, k = 2 and
     both weights positive survive the count but are flagged: such unions
     of two positive-degree curves are avoided geometrically.
     """
+    shape = shape_class.shape
+    bound = deformation_bound(shape, d)
+    note = None
+    if (
+        isinstance(shape, DistinguishedTree)
+        and shape_class.e == 0
+        and shape_class.k == 2
+        and all(w > 0 for w in shape.weights[1:])
+    ):
+        note = POSITIVE_PARTITION_NOTE
+    return ClassifiedStratum(
+        shape_class, dimension(shape, d), bound, bound >= 6 * d - 2, note
+    )
+
+
+def classify_survivors(
+    d: int,
+    max_extra_vertices: int,
+    include_circuits: bool = True,
+    ceiling: int = DEFAULT_CLASS_CEILING,
+) -> list[ClassifiedStratum]:
+    """Classify every collapsed shape class (see ``classify``)."""
     shapes = enumerate_shapes(
         d,
         max_extra_vertices,
@@ -380,18 +398,4 @@ def classify_survivors(
         include_circuits=include_circuits,
         ceiling=ceiling,
     )
-    out = []
-    for sc in shapes:
-        dim = dimension(sc.shape, d)
-        bound = deformation_bound(sc.shape, d)
-        survivor = bound >= 6 * d - 2
-        note = None
-        if (
-            isinstance(sc.shape, DistinguishedTree)
-            and sc.e == 0
-            and sc.k == 2
-            and all(w > 0 for w in sc.shape.weights[1:])
-        ):
-            note = POSITIVE_PARTITION_NOTE
-        out.append(ClassifiedStratum(sc, dim, bound, survivor, note))
-    return out
+    return [classify(sc, d) for sc in shapes]

@@ -165,7 +165,7 @@ class TestAcceptance:
                 failures.append(f"d={d}: invariant != C(d-1,2)*N_d")
             for j in JClass:
                 if zt != j.aut_factor * elliptic_count(d, j, table):
-                    failures.append(f"d={d}, j={j.selector}: chain broken")
+                    failures.append(f"d={d}, j={j.value}: chain broken")
         _report(capsys, "consistency chain to d=30", failures)
 
     def test_criterion_6_single_tail_family_count(self, capsys):

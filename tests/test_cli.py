@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,8 +87,7 @@ class TestNdCache:
         assert err.startswith("error: cache: line 1:")
 
     def test_tampered_entry_fails_probe(self, capsys, tmp_path):
-        # Entry 2 feeds every later re-derivation, so whichever entry
-        # the loader probes, the mismatch surfaces.
+        # The loader re-derives the top entry, which entry 2 feeds.
         cache = tmp_path / "cache.txt"
         run(capsys, ["nd", "--max", "6", "--cache", str(cache)])
         lines = cache.read_text().splitlines()
@@ -142,6 +142,14 @@ class TestEd:
     def test_rejects_unknown_class(self, capsys):
         rc, _, _ = run(capsys, ["ed", "--d", "3", "--j", "7"])
         assert rc == 2
+
+    def test_degree_above_ceiling_refused_before_work(self, capsys):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["ed", "--d", "572"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 4
+        assert out == ""
+        assert "571" in err
 
 
 class TestStrata:
@@ -269,6 +277,13 @@ class TestSeries:
         assert rc == 0
         assert "point = 1/2\n" in out
         assert "orders = (0, 1, 2)\n" in out
+
+    def test_negative_point_both_spellings(self, capsys, net_path):
+        spaced = run(capsys, ["series", net_path, "--at", "-2/5"])
+        glued = run(capsys, ["series", net_path, "--at=-2/5"])
+        assert spaced == glued
+        assert spaced[0] == 0
+        assert "point = -2/5\n" in spaced[1]
 
     def test_rank_deficient_exit(self, capsys, tmp_path):
         path = tmp_path / "rank2.json"

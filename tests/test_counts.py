@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,17 +136,6 @@ class TestDivisibility:
             divisibility_report(2)
 
 
-class _FixedProbe(random.Random):
-    """Always probes the same entry, so tampering tests are deterministic."""
-
-    def __init__(self, target):
-        super().__init__(0)
-        self._target = target
-
-    def randrange(self, start, stop=None, step=1):
-        return self._target
-
-
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "counts.txt"
@@ -197,14 +184,16 @@ class TestCacheFile:
         with pytest.raises(CacheError):
             load_table(path)
 
-    def test_probe_catches_tampered_entry(self, tmp_path):
+    def test_tampered_entry_caught_at_every_position(self, tmp_path):
         path = tmp_path / "counts.txt"
         table = RecursionTable()
-        rational_count(6, table)
+        rational_count(30, table)
         save_table(table, path)
         lines = path.read_text().splitlines()
-        lines[3] = "4 621"
-        path.write_text("".join(line + "\n" for line in lines))
-        with pytest.raises(CacheError) as err:
-            load_table(path, rng=_FixedProbe(4))
-        assert err.value.line_no == 4
+        for d in range(2, 31):
+            tampered = list(lines)
+            tampered[d - 1] = f"{d} {table[d] + 1}"
+            path.write_text("".join(line + "\n" for line in tampered))
+            with pytest.raises(CacheError) as err:
+                load_table(path)
+            assert err.value.line_no == 30, d
