@@ -30,7 +30,7 @@ def main():
     args = parser.parse_args()
 
     rows = divisibility_report(args.max)
-    print(f"{'d':>4} {'N_d mod 3':>10} {'d mod 3':>8} {'C(3d-4,2) mod 3':>16}  law")
+    print(f"{'d':>4} {'N_d mod 3':>10} {'d mod 3':>8} {'C(d-1,2) mod 3':>16}  law")
     for row in rows:
         mark = "ANOMALY" if row.anomaly else "ok"
         print(

@@ -12,7 +12,7 @@ meet the generic point conditions.
 import argparse
 from collections import Counter
 
-from curvecount.strata import classify_survivors
+from curvecount.strata import classify_survivors, survivor_threshold
 
 
 def main():
@@ -31,14 +31,12 @@ def main():
     strata = classify_survivors(
         args.d, args.max_extra, include_circuits=args.include_circuits
     )
-    threshold = 6 * args.d - 2
-
     survivors = [s for s in strata if s.survivor]
     avoided = [s for s in strata if not s.survivor]
 
     print(f"degree {args.d}, up to {args.max_extra} extra vertices")
     print(f"classes scanned: {len(strata)}")
-    print(f"survival threshold: bound >= {threshold}")
+    print(f"survival threshold: bound >= {survivor_threshold(args.d)}")
     print()
 
     groups = Counter(

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .counts import (
@@ -32,6 +31,7 @@ from .counts import (
 from .series import (
     RankDeficientError,
     SeriesFormatError,
+    parse_rational,
     root_sum_relation,
     series_from_json,
     vanishing_sequence,
@@ -310,10 +310,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.at is None:
         at_infinity, point, point_label = True, None, "infinity"
     else:
-        try:
-            point = Fraction(args.at)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--at expects an exact rational, got {args.at!r}") from None
+        point = parse_rational(args.at, "--at")
         at_infinity, point_label = False, str(point)
     seq = vanishing_sequence(series, at_infinity=at_infinity, point=point)
     relation = root_sum_relation(series)

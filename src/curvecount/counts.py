@@ -23,6 +23,7 @@ feeding it is corrupt.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -227,8 +228,19 @@ def divisibility_report(d_max: int, table: RecursionTable | None = None) -> list
 
 
 def save_table(table: RecursionTable, path: str | Path) -> None:
-    lines = [f"{d} {v}\n" for d, v in table.items()]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    """Write the table as ``d value`` lines, replacing ``path`` atomically.
+
+    The text goes to a temporary file beside ``path`` first, so a failed
+    write leaves the old cache as it was and no partial file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("".join(f"{d} {v}\n" for d, v in table.items()), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path: str | Path) -> RecursionTable:

@@ -102,12 +102,14 @@ def _apply_perm(perm, weights, edges, leg_counts, leg_labels):
     return tuple(w), e, tuple(c), tuple(labs) if labs is not None else None
 
 
-def _skeleton_automorphisms(g, perms) -> tuple[tuple[int, ...], ...]:
-    """The permutations in ``perms`` preserving g's weights and edge multiset."""
+def _skeleton_automorphisms(g) -> tuple[tuple[int, ...], ...]:
+    """The permutations fixing g's distinguished vertices that preserve its
+    weights and edge multiset."""
     n = g.n_vertices
+    fixed = g.distinguished
     return tuple(
         perm
-        for perm in perms
+        for perm in (fixed + tail for tail in itertools.permutations(range(len(fixed), n)))
         if all(g.weights[perm[i]] == g.weights[i] for i in range(n))
         and _normalized_edges((perm[a], perm[b]) for a, b in g.edges) == g.edges
     )
@@ -115,7 +117,12 @@ def _skeleton_automorphisms(g, perms) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class _MarkedGraph:
-    """Fields, validation and term grammar shared by both species."""
+    """Fields, validation and term grammar shared by both species.
+
+    Each species sets ``kind`` ("tree" or "circuit"), ``distinguished``
+    (the vertices every symmetry fixes and stability leaves free, always
+    the first ones) and ``core`` (the genus-one part, of total weight e).
+    """
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -149,6 +156,11 @@ class _MarkedGraph:
     def marking_count(self) -> int:
         return sum(self.leg_counts)
 
+    @cached_property
+    def e(self) -> int:
+        """Total weight of the core (e in the dimension formulas)."""
+        return sum(self.weights[v] for v in self.core)
+
     def valence(self, v: int) -> int:
         """Incident edges, with multiplicity, plus legs at v (no self-loops exist)."""
         deg = sum(1 for a, b in self.edges if a == v or b == v)
@@ -165,7 +177,10 @@ class _MarkedGraph:
         return f"({self.weights[v]};{self._leg_token(v)};[{','.join(kids)}])"
 
     def relabeled(self, perm):
-        """The same graph with vertex i renamed perm[i]."""
+        """The same graph with vertex i renamed perm[i]; perm must fix the
+        distinguished vertices."""
+        if any(perm[v] != v for v in self.distinguished):
+            raise ValueError(f"relabeling {perm} moves a distinguished vertex of this {self.kind}")
         w, e, c, labs = _apply_perm(perm, self.weights, self.edges, self.leg_counts, self.leg_labels)
         return type(self)(w, e, c, labs)
 
@@ -180,6 +195,10 @@ class DistinguishedTree(_MarkedGraph):
     many legs sit on each vertex.
     """
 
+    kind = "tree"
+    distinguished = (0,)
+    core = (0,)
+
     def __post_init__(self):
         super().__post_init__()
         n = self.n_vertices
@@ -190,7 +209,7 @@ class DistinguishedTree(_MarkedGraph):
 
     @property
     def distinguished_weight(self) -> int:
-        return self.weights[0]
+        return self.e
 
     @cached_property
     def canonical_key(self) -> str:
@@ -204,14 +223,7 @@ class DistinguishedTree(_MarkedGraph):
         profiles.  Brute force is fine at the supported sizes (at most 5
         vertices).
         """
-        perms = ((0,) + tail for tail in itertools.permutations(range(1, self.n_vertices)))
-        return _skeleton_automorphisms(self, perms)
-
-    def relabeled(self, perm) -> "DistinguishedTree":
-        """The same tree with vertex i renamed perm[i]; perm must fix 0."""
-        if perm[0] != 0:
-            raise ValueError("relabelings of a distinguished tree must fix vertex 0")
-        return super().relabeled(perm)
+        return _skeleton_automorphisms(self)
 
 
 @dataclass(frozen=True)
@@ -222,6 +234,9 @@ class CircuitGraph(_MarkedGraph):
     length-2 circuit); self-loops are rejected.  Connectedness plus
     edge count == vertex count pins the first Betti number to 1.
     """
+
+    kind = "circuit"
+    distinguished = ()
 
     def __post_init__(self):
         super().__post_init__()
@@ -237,49 +252,36 @@ class CircuitGraph(_MarkedGraph):
 
     @cached_property
     def circuit(self) -> tuple[int, ...]:
-        """The unique cycle's vertices, in traversal order.
+        """The unique cycle's vertices, in traversal order from the smallest.
 
         Found by stripping valence-1 vertices (edge valence, with
-        multiplicity) until only the 2-core remains, then walking it.
+        multiplicity) until only the cycle remains, then walking it
+        towards the smaller neighbour first.
         """
-        n = self.n_vertices
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for idx, (a, b) in enumerate(self.edges):
-            inc[a].append(idx)
-            inc[b].append(idx)
-        alive_e = [True] * len(self.edges)
-        alive_v = [True] * n
-        stripped = True
-        while stripped:
-            stripped = False
-            for v in range(n):
-                if not alive_v[v]:
-                    continue
-                live = [i for i in inc[v] if alive_e[i]]
-                if len(live) == 1:
-                    alive_e[live[0]] = False
-                    alive_v[v] = False
-                    stripped = True
-        members = [v for v in range(n) if alive_v[v]]
-        start = min(members)
-        order = [start]
-        cur, prev_edge = start, -1
-        while True:
-            nxt_edge = min(
-                i for i in inc[cur] if alive_e[i] and i != prev_edge
-            )
-            a, b = self.edges[nxt_edge]
-            nxt = b if a == cur else a
-            if nxt == start:
-                break
-            order.append(nxt)
-            cur, prev_edge = nxt, nxt_edge
+        adj = _adjacency(self.n_vertices, self.edges)
+        deg = [len(nbrs) for nbrs in adj]
+        leaves = [v for v, k in enumerate(deg) if k == 1]
+        for v in leaves:
+            deg[v] = 0
+            for u in adj[v]:
+                if deg[u]:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        leaves.append(u)
+        cycle = [v for v, k in enumerate(deg) if k]
+        order = [cycle[0]]
+        while len(order) < len(cycle):
+            order.append(min(u for u in adj[order[-1]] if deg[u] and u not in order))
         return tuple(order)
+
+    @property
+    def core(self) -> tuple[int, ...]:
+        return self.circuit
 
     @property
     def circuit_weight(self) -> int:
         """Sum of the weights on the circuit (e in the dimension formulas)."""
-        return sum(self.weights[v] for v in self.circuit)
+        return self.e
 
     @cached_property
     def canonical_key(self) -> str:
@@ -302,4 +304,4 @@ class CircuitGraph(_MarkedGraph):
 
     def skeleton_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All weight- and edge-multiset-preserving vertex permutations."""
-        return _skeleton_automorphisms(self, itertools.permutations(range(self.n_vertices)))
+        return _skeleton_automorphisms(self)

@@ -32,6 +32,7 @@ __all__ = [
     "root_sum_criterion",
     "root_sum",
     "translate",
+    "parse_rational",
     "series_from_json",
     "series_to_json",
 ]
@@ -220,15 +221,25 @@ def translate(series: PolySeries, shift: Fraction | int | str) -> PolySeries:
 # every coefficient an exact rational string like "5", "-3/7".
 
 
-def _parse_entry(text, where: str) -> Fraction:
+def parse_rational(text, where: str) -> Fraction:
+    """The exact rational an integer, p/q or plain decimal literal names.
+
+    Exponent notation is refused: a literal such as "1e2000000" is a few
+    bytes long but expands to an integer of millions of digits.  Every
+    failure is a SeriesFormatError whose message starts with ``where``.
+    """
     if not isinstance(text, str):
         raise SeriesFormatError(f"{where}: expected a rational string, got {text!r}")
+    if "e" in text or "E" in text:
+        raise SeriesFormatError(
+            f"{where} expects an exact rational (exponent notation is not accepted), got {text!r}"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise SeriesFormatError(f"{where}: zero denominator in {text!r}") from None
     except ValueError:
-        raise SeriesFormatError(f"{where}: not a rational literal: {text!r}") from None
+        raise SeriesFormatError(f"{where} expects an exact rational, got {text!r}") from None
 
 
 def series_from_json(text: str) -> PolySeries:
@@ -253,7 +264,7 @@ def series_from_json(text: str) -> PolySeries:
                 f"basis[{i}]: expected a list of {degree + 1} rational strings"
             )
         rows.append(
-            tuple(_parse_entry(entry, f"basis[{i}][{j}]") for j, entry in enumerate(row))
+            tuple(parse_rational(entry, f"basis[{i}][{j}]") for j, entry in enumerate(row))
         )
     return PolySeries(degree, tuple(rows))
 

@@ -8,12 +8,14 @@ exhaustive enumeration of isomorphism classes at desk scale, and the
 survivor classification (which strata can still meet 3d-1 general point
 conditions).
 
-Dimension conventions, with e the distinguished-vertex weight (trees) or
-the circuit weight sum (circuit graphs) and k one less than the vertex
-count: the stratum is empty iff e = 1; dim = 6d-2-k when e >= 2; and
-dim = 6d-k when e = 0.  The deformation bound subtracts 2 exactly when
-e = 0 and a vertex off the distinguished/circuit part carries the full
-weight d; otherwise it equals the dimension.
+Dimension conventions, with e the weight of the graph's core (the
+distinguished vertex of a tree, the circuit of a circuit graph) and k one
+less than the vertex count: the stratum is empty iff e = 1; dim = 6d-2-k
+when e >= 2; and dim = 6d-k when e = 0.  The deformation bound subtracts 2
+exactly when e = 0 and a vertex off the core carries the full weight d;
+otherwise it equals the dimension.  Which vertices form the core and which
+are exempt from stability is stated by each graph class, so nothing here
+branches on the species.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "dimension",
     "deformation_bound",
     "enumerate_shapes",
+    "survivor_threshold",
     "classify",
     "classify_survivors",
 ]
@@ -55,20 +58,19 @@ class ResourceGuardError(Exception):
         self.projected = projected
 
 
-def is_stable(g: Shape) -> bool:
-    """True iff every constrained weight-0 vertex has valence >= 3.
-
-    Valence counts incident edges plus legs.  For trees the distinguished
-    vertex is unconstrained; for circuit graphs every vertex is.
-    """
-    first = 1 if isinstance(g, DistinguishedTree) else 0
-    return all(
-        g.weights[v] != 0 or g.valence(v) >= 3 for v in range(first, g.n_vertices)
+def _min_legs(g: Shape) -> tuple[int, ...]:
+    """Legs each vertex lacks for stability: valence (edges plus legs) >= 3
+    at every weight-0 vertex outside ``g.distinguished``."""
+    free = g.distinguished
+    return tuple(
+        0 if g.weights[v] or v in free else max(0, 3 - g.valence(v))
+        for v in range(g.n_vertices)
     )
 
 
-def _weight_part(g: Shape) -> int:
-    return g.distinguished_weight if isinstance(g, DistinguishedTree) else g.circuit_weight
+def is_stable(g: Shape) -> bool:
+    """True iff no vertex lacks legs for stability (see ``_min_legs``)."""
+    return not any(_min_legs(g))
 
 
 def dimension(g: Shape, d: int) -> int | None:
@@ -77,7 +79,7 @@ def dimension(g: Shape, d: int) -> int | None:
         raise ValueError(f"unstable graph has no stratum: {g.canonical_key}")
     if g.total_weight != d:
         raise ValueError(f"graph weights sum to {g.total_weight}, not d={d}")
-    e = _weight_part(g)
+    e = g.e
     if e == 1:
         return None
     k = g.k
@@ -87,26 +89,20 @@ def dimension(g: Shape, d: int) -> int | None:
 def deformation_bound(g: Shape, d: int) -> int | None:
     """Dimension bound after deforming the weight-d component, if any.
 
-    When e = 0 and some vertex outside the distinguished/circuit part
-    carries the whole degree d, the stratum's image under deformation
+    When e = 0 and some vertex off the core carries the whole degree d, the stratum's image under deformation
     loses 2 dimensions; every other case keeps the plain dimension.
     """
-    dim = dimension(g, d)
-    if dim is None:
-        return None
-    if _weight_part(g) != 0:
+    return _bound_from(g, d, dimension(g, d))
+
+
+def _bound_from(g: Shape, d: int, dim: int | None) -> int | None:
+    if dim is None or g.e != 0:
         return dim
-    if isinstance(g, DistinguishedTree):
-        heavy = any(w == d for w in g.weights[1:])
-    else:
-        on_circuit = set(g.circuit)
-        heavy = any(
-            g.weights[v] == d for v in range(g.n_vertices) if v not in on_circuit
-        )
-    return dim - 2 if heavy else dim
+    core = g.core
+    return dim - 2 if any(w == d for v, w in enumerate(g.weights) if v not in core) else dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShapeClass:
     """One isomorphism class of shapes plus how many marked classes it covers.
 
@@ -120,11 +116,11 @@ class ShapeClass:
 
     @property
     def kind(self) -> str:
-        return "tree" if isinstance(self.shape, DistinguishedTree) else "circuit"
+        return self.shape.kind
 
     @property
     def e(self) -> int:
-        return _weight_part(self.shape)
+        return self.shape.e
 
     @property
     def k(self) -> int:
@@ -136,8 +132,8 @@ class ClassifiedStratum:
     """A shape class with its dimension data and survivor verdict."""
 
     shape_class: ShapeClass
-    dim: int
-    bound: int
+    dim: int | None
+    bound: int | None
     survivor: bool
     note: str | None
 
@@ -181,57 +177,31 @@ def _pruefer_decode(seq, n: int) -> tuple[tuple[int, int], ...]:
 def _labeled_trees(n: int):
     if n == 1:
         yield ()
-    elif n == 2:
-        yield ((0, 1),)
     else:
         for seq in itertools.product(range(n), repeat=n - 2):
             yield _pruefer_decode(seq, n)
 
 
-def _tree_skeletons(d: int, k: int) -> list[DistinguishedTree]:
-    """Nonempty weighted tree skeletons with k extra vertices, one per class."""
-    n = k + 1
-    seen: dict[str, DistinguishedTree] = {}
-    for edges in _labeled_trees(n):
-        for w in _compositions(d, n):
-            if w[0] == 1:
-                continue
-            skel = DistinguishedTree(w, edges, (0,) * n)
-            seen.setdefault(skel.canonical_key, skel)
-    return [seen[key] for key in sorted(seen)]
-
-
-def _circuit_skeletons(d: int, k: int) -> list[CircuitGraph]:
-    """Nonempty weighted one-circuit skeletons on k+1 vertices, one per class."""
-    n = k + 1
+def _circuit_edge_sets(n: int):
+    """Edge multisets on n vertices that form a one-circuit graph."""
     pairs = list(itertools.combinations(range(n), 2))
-    shapes: list[tuple[tuple[int, int], ...]] = []
     for combo in itertools.combinations_with_replacement(pairs, n):
-        if any(combo.count(p) > 2 for p in combo):
-            continue
         try:
             CircuitGraph((0,) * n, combo, (0,) * n)
         except ValueError:
             continue
-        shapes.append(combo)
-    seen: dict[str, CircuitGraph] = {}
-    for edges in shapes:
+        yield combo
+
+
+def _weighted_skeletons(cls, edge_sets, d: int, n: int) -> list[Shape]:
+    """Nonempty (e != 1) weighted skeletons of ``cls`` on n vertices, one per class."""
+    seen: dict[str, Shape] = {}
+    for edges in edge_sets:
         for w in _compositions(d, n):
-            skel = CircuitGraph(w, edges, (0,) * n)
-            if skel.circuit_weight == 1:
-                continue
-            seen.setdefault(skel.canonical_key, skel)
+            skel = cls(w, edges, (0,) * n)
+            if skel.e != 1:
+                seen.setdefault(skel.canonical_key, skel)
     return [seen[key] for key in sorted(seen)]
-
-
-def _min_legs(skel: Shape) -> tuple[int, ...]:
-    """Per-vertex leg minimums forced by stability on the bare skeleton."""
-    first = 1 if isinstance(skel, DistinguishedTree) else 0
-    req = [0] * skel.n_vertices
-    for v in range(first, skel.n_vertices):
-        if skel.weights[v] == 0:
-            req[v] = max(0, 3 - skel.valence(v))
-    return tuple(req)
 
 
 def _apply(perm, profile) -> tuple[int, ...]:
@@ -271,25 +241,20 @@ def _profile_orbits(skel: Shape, legs_total: int):
         yield canon, mult
 
 
-def _with_profile(skel: Shape, profile) -> Shape:
-    cls = type(skel)
-    return cls(skel.weights, skel.edges, profile)
-
-
-def _with_labels(skel: Shape, labels) -> Shape:
-    cls = type(skel)
-    counts = tuple(len(l) for l in labels)
-    return cls(skel.weights, skel.edges, counts, labels)
+def _with_legs(skel: Shape, counts, labels=None) -> Shape:
+    return type(skel)(skel.weights, skel.edges, counts, labels)
 
 
 def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool) -> list[Shape]:
-    skels: list[Shape] = []
-    for k in range(0, max_extra_vertices + 1):
-        skels.extend(_tree_skeletons(d, k))
+    species = [(DistinguishedTree, _labeled_trees, 1)]
     if include_circuits:
-        for k in range(1, max_extra_vertices + 1):
-            skels.extend(_circuit_skeletons(d, k))
-    return skels
+        species.append((CircuitGraph, _circuit_edge_sets, 2))
+    return [
+        skel
+        for cls, edge_sets, min_vertices in species
+        for n in range(min_vertices, max_extra_vertices + 2)
+        for skel in _weighted_skeletons(cls, edge_sets(n), d, n)
+    ]
 
 
 def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:
@@ -340,7 +305,7 @@ def enumerate_shapes(
     for skel in skels:
         if collapsed:
             for profile, mult in _profile_orbits(skel, legs_total):
-                out.append(ShapeClass(_with_profile(skel, profile), mult))
+                out.append(ShapeClass(_with_legs(skel, profile), mult))
         else:
             req = _min_legs(skel)
             n = skel.n_vertices
@@ -354,34 +319,40 @@ def enumerate_shapes(
                 labels: list[list[int]] = [[] for _ in range(n)]
                 for leg, v in enumerate(assignment, start=1):
                     labels[v].append(leg)
-                g = _with_labels(skel, tuple(tuple(l) for l in labels))
+                g = _with_legs(skel, tuple(counts), tuple(tuple(l) for l in labels))
                 classes.setdefault(g.canonical_key, g)
             out.extend(ShapeClass(classes[key], 1) for key in sorted(classes))
     out.sort(key=lambda sc: (sc.kind, sc.shape.canonical_key))
     return out
 
 
+def survivor_threshold(d: int) -> int:
+    """The least deformation bound a surviving stratum has: 6d-2, the
+    codimension of 3d-1 point conditions."""
+    return 6 * d - 2
+
+
 def classify(shape_class: ShapeClass, d: int) -> ClassifiedStratum:
     """Dimension data and survivor verdict of one shape class.
 
-    A stratum survives iff its deformation bound is at least 6d-2 (the
-    codimension of 3d-1 point conditions).  Trees with e = 0, k = 2 and
-    both weights positive survive the count but are flagged: such unions
-    of two positive-degree curves are avoided geometrically.
+    A stratum survives iff it is nonempty and its deformation bound is at
+    least ``survivor_threshold(d)``.  Trees with e = 0, k = 2 and both
+    weights positive survive the count but are flagged: such unions of two
+    positive-degree curves are avoided geometrically.
     """
     shape = shape_class.shape
-    bound = deformation_bound(shape, d)
+    dim = dimension(shape, d)
+    bound = _bound_from(shape, d, dim)
     note = None
     if (
-        isinstance(shape, DistinguishedTree)
-        and shape_class.e == 0
-        and shape_class.k == 2
+        shape.kind == "tree"
+        and shape.e == 0
+        and shape.k == 2
         and all(w > 0 for w in shape.weights[1:])
     ):
         note = POSITIVE_PARTITION_NOTE
-    return ClassifiedStratum(
-        shape_class, dimension(shape, d), bound, bound >= 6 * d - 2, note
-    )
+    survivor = bound is not None and bound >= survivor_threshold(d)
+    return ClassifiedStratum(shape_class, dim, bound, survivor, note)
 
 
 def classify_survivors(

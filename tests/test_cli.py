@@ -316,6 +316,20 @@ class TestSeries:
         assert rc == 2
         assert err == "error: --at expects an exact rational, got 'x'\n"
 
+    def test_exponent_literal_refused_at_once(self, capsys, net_path, tmp_path):
+        rc, out, err = run(capsys, ["series", net_path, "--at", "1e2000000"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: --at expects an exact rational (exponent notation is not accepted), got '1e2000000'\n"
+        )
+        path = tmp_path / "big.json"
+        path.write_text(MONOMIAL_NET_JSON.replace('"1","0","0","0"', '"1","1e2000000","0","0"'))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["series", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: basis[0][1] expects an exact rational (exponent notation")
+
 
 class TestParsing:
     def test_no_subcommand(self, capsys):

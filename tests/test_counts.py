@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -197,3 +199,23 @@ class TestCacheFile:
             with pytest.raises(CacheError) as err:
                 load_table(path)
             assert err.value.line_no == 30, d
+
+    def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "counts.txt"
+        small = RecursionTable()
+        rational_count(3, small)
+        save_table(small, path)
+        before = path.read_text()
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        big = RecursionTable()
+        rational_count(10, big)
+        with pytest.raises(OSError, match="disk full"):
+            save_table(big, path)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]

@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_divisibility_table_header_names_binomial_column():
+    proc = run_script("divisibility_table.py", "--max", "5", "--integrality-max", "5")
+    assert proc.returncode == 0, proc.stderr
+    header = proc.stdout.splitlines()[0]
+    assert header.split() == ["d", "N_d", "mod", "3", "d", "mod", "3", "C(d-1,2)", "mod", "3", "law"]
+
+
+def test_survivor_scan_header_prints_threshold():
+    proc = run_script("survivor_scan.py", "--d", "3", "--max-extra", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "degree 3, up to 1 extra vertices"
+    assert "survival threshold: bound >= 16" in lines

@@ -255,6 +255,24 @@ class TestJson:
         with pytest.raises(SeriesFormatError):
             series_from_json(payload)
 
+    @pytest.mark.parametrize("literal", ["1e2000000", "2E3", "1.5e-2"])
+    def test_rejects_exponent_notation(self, literal):
+        payload = json.dumps({"degree": 1, "basis": [["1", literal], ["0", "1"], ["1", "1"]]})
+        with pytest.raises(SeriesFormatError) as err:
+            series_from_json(payload)
+        assert str(err.value) == (
+            f"basis[0][1] expects an exact rational (exponent notation is not accepted), got {literal!r}"
+        )
+
+    def test_reads_integer_fraction_and_decimal_literals(self):
+        payload = '{"degree": 1, "basis": [["-7", "3/4"], ["0.25", "1"], [" 1 ", "-1.5"]]}'
+        s = series_from_json(payload)
+        assert s.basis == (
+            (Fraction(-7), Fraction(3, 4)),
+            (Fraction(1, 4), Fraction(1)),
+            (Fraction(1), Fraction(-3, 2)),
+        )
+
     def test_rejects_invalid_json(self):
         with pytest.raises(SeriesFormatError):
             series_from_json("{not json")

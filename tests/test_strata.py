@@ -5,11 +5,14 @@ from curvecount.strata import (
     DEFAULT_CLASS_CEILING,
     POSITIVE_PARTITION_NOTE,
     ResourceGuardError,
+    ShapeClass,
+    classify,
     classify_survivors,
     deformation_bound,
     dimension,
     enumerate_shapes,
     is_stable,
+    survivor_threshold,
 )
 
 
@@ -260,6 +263,18 @@ class TestDimensionInvariants:
 
 
 class TestSurvivors:
+    def test_threshold_is_point_condition_codimension(self):
+        assert [survivor_threshold(d) for d in (3, 4, 5)] == [16, 22, 28]
+
+    def test_empty_stratum_classified_without_bound(self):
+        # e = 1: the stratum is empty, so it has no dimension, no bound
+        # and cannot survive.
+        for shape in (
+            _tree([1, 2], [(0, 1)], [4, 4]),
+            _circuit([1, 0, 2], [(0, 1), (0, 1), (1, 2)], [4, 1, 3]),
+        ):
+            c = classify(ShapeClass(shape, 1), 3)
+            assert (c.dim, c.bound, c.survivor, c.note) == (None, None, False, None)
     def test_degree_three_catalogue(self):
         strata = classify_survivors(3, 3)
         survivors = [s for s in strata if s.survivor]
