@@ -8,11 +8,15 @@ the Kontsevich recursion
     N_d = sum over i+j=d, i,j>0 of
           N_i * N_j * ( i^2 j^2 * C(3d-4, 3i-2)  -  i^3 j * C(3d-4, 3i-1) ),
 
-and everything else here is an exact integer formula on top of them: the
-count of elliptic plane curves of degree d with fixed j-invariant is
-C(d-1,2)*N_d divided by the automorphism factor of the j-class (1
-generically, 3 at j=0, 2 at j=1728), and the top intersection number on
-the closure of the irreducible-domain locus is C(d-1,2)*N_d itself.
+evaluated here with one binomial row C(3d-4, .) built per degree, and
+with terms i and d-i summed into one coefficient so that each product
+N_i * N_{d-i} is formed once (see ``_recursion_value``).
+
+Everything else is an exact integer formula on top of them: the count of
+elliptic plane curves of degree d with fixed j-invariant is C(d-1,2)*N_d
+divided by the automorphism factor of the j-class (1 generically, 3 at
+j=0, 2 at j=1728), and the top intersection number on the closure of the
+irreducible-domain locus is C(d-1,2)*N_d itself.
 
 All arithmetic is on Python ints (arbitrary precision); there is no
 floating point anywhere in this module.  Division by the automorphism
@@ -85,34 +89,50 @@ class JClass(Enum):
 _AUT_FACTOR = {JClass.GENERIC: 1, JClass.J_ZERO: 3, JClass.J_1728: 2}
 
 
-def binomial(n: int, k: int) -> int:
+def binomial(n: int, k: int, row: list[int] | None = None) -> int:
     """C(n, k), with value 0 whenever k < 0, k > n, or n < 0.
 
-    The out-of-range convention makes the recursion sum total: no term
-    needs special-casing at the boundary.
+    The out-of-range convention spares callers boundary checks.  ``row``,
+    if given, is a list holding C(n, 0), C(n, 1), ... up to some point
+    (``[1]`` to start): the value is read from it, by the symmetry
+    C(n, k) = C(n, n-k) from its first half, after extending it in place
+    one multiply-divide C(n, m) = C(n, m-1) * (n-m+1) / m per entry.  A
+    caller asking for many entries of one row pays for the row once.
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    return math.comb(n, k)
+    if row is None:
+        return math.comb(n, k)
+    if k + k > n:
+        k = n - k
+    while len(row) <= k:
+        m = len(row)
+        row.append(row[-1] * (n - m + 1) // m)
+    return row[k]
 
 
 def _recursion_value(d: int, lower) -> int:
     """Value of the degree-d recursion step given all lower counts.
 
-    ``lower`` is any mapping holding entries for 1..d-1.  Intermediate
-    terms are signed; only the final sum is a count.
+    ``lower`` is any mapping holding entries for 1..d-1.  Terms i and
+    j = d-i share the product N_i * N_j, so for each i <= d/2 the two
+    terms' binomial coefficients are summed first and multiplied into
+    N_i * N_j once; the middle term i = j (even d) is counted once.  All
+    binomials are entries of the one row C(3d-4, .), built once for the
+    degree; the partner's C(3d-4, 3j-2) and C(3d-4, 3j-1) are its
+    entries 3i-2 and 3i-3, since 3d-4 - (3j-2) = 3i-2.  Coefficients are
+    signed; only the final sum is a count.
     """
+    n = 3 * d - 4
+    row = [1]
     total = 0
-    for i in range(1, d):
+    for i in range(1, d // 2 + 1):
         j = d - i
-        total += (
-            lower[i]
-            * lower[j]
-            * (
-                i * i * j * j * binomial(3 * d - 4, 3 * i - 2)
-                - i**3 * j * binomial(3 * d - 4, 3 * i - 1)
-            )
-        )
+        ij = i * j
+        coeff = ij * (ij * binomial(n, 3 * i - 2, row) - i * i * binomial(n, 3 * i - 1, row))
+        if i < j:
+            coeff += ij * (ij * binomial(n, 3 * j - 2, row) - j * j * binomial(n, 3 * j - 1, row))
+        total += coeff * lower[i] * lower[j]
     return total
 
 
@@ -248,9 +268,13 @@ def load_table(path: str | Path) -> RecursionTable:
 
     Beyond the syntactic checks (consecutive degrees from 1, decimal
     values), the base entry must be exactly 1 and the top entry N_n is
-    re-derived from entries 1..n-1.  For every n <= 600 the recursion for
-    N_n has a non-zero coefficient on each lower entry, so one changed
-    entry anywhere in the file always makes that check fail.
+    re-derived from entries 1..n-1.  For every n <= 600 each paired
+    coefficient of the recursion for N_n (one per i <= n/2, on
+    N_i * N_{n-i}) is non-zero, so one changed entry anywhere in the file
+    always makes that check fail: it moves the sum by the coefficient
+    times a positive partner, or for the middle entry of an even n by
+    the coefficient times delta * (2 N_i + delta), which is zero only
+    for the negative value -N_i that the sign check refuses.
     """
     values: dict[int, int] = {}
     text = Path(path).read_text(encoding="utf-8")

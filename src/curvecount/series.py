@@ -56,7 +56,13 @@ class PolySeries:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"ambient degree must be >= 1, got {self.degree}")
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.basis)
+        rows = tuple(
+            tuple(
+                x if type(x) is Fraction else _rational(x, f"basis[{i}][{j}]")
+                for j, x in enumerate(row)
+            )
+            for i, row in enumerate(self.basis)
+        )
         if len(rows) != 3:
             raise ValueError(f"a net has exactly 3 basis rows, got {len(rows)}")
         for i, row in enumerate(rows):
@@ -159,7 +165,7 @@ def vanishing_sequence(
     else:
         if point is None:
             raise ValueError("a finite point is required when at_infinity is false")
-        c = Fraction(point)
+        c = _rational(point, "point")
         rows = [_shifted(row, c) for row in series.basis]
     pivots = _echelon_pivots(rows)
     if len(pivots) < 3:
@@ -169,9 +175,10 @@ def vanishing_sequence(
 
 def root_sum(coeffs) -> Fraction | None:
     """Sum of the roots, -b_{d-1}/b_d, or None when the top coefficient is 0."""
-    if coeffs[-1] == 0:
+    lead = _rational(coeffs[-1], "coeffs[-1]")
+    if lead == 0:
         return None
-    return -Fraction(coeffs[-2]) / Fraction(coeffs[-1])
+    return -_rational(coeffs[-2], "coeffs[-2]") / lead
 
 
 def root_sum_relation(series: PolySeries) -> RootSumRelation | None:
@@ -210,7 +217,7 @@ def translate(series: PolySeries, shift: Fraction | int | str) -> PolySeries:
     Preserves existence of the root-sum constant; K itself moves to
     K - d*shift because every root moves by -shift.
     """
-    c = Fraction(shift)
+    c = _rational(shift, "shift")
     return PolySeries(
         series.degree, tuple(tuple(_shifted(row, c)) for row in series.basis)
     )
@@ -240,6 +247,14 @@ def parse_rational(text, where: str) -> Fraction:
         raise SeriesFormatError(f"{where}: zero denominator in {text!r}") from None
     except ValueError:
         raise SeriesFormatError(f"{where} expects an exact rational, got {text!r}") from None
+
+
+def _rational(value, where: str) -> Fraction:
+    """``value`` as a Fraction; strings go through ``parse_rational``, so a
+    library caller's literal obeys the same rule as the CLI and JSON."""
+    if isinstance(value, str):
+        return parse_rational(value, where)
+    return Fraction(value)
 
 
 def series_from_json(text: str) -> PolySeries:

@@ -248,3 +248,15 @@ class TestAcceptance:
         if rc != 0:
             failures.append(f"exit code {rc}")
         _report(capsys, "nd --max 100 under 5s", failures, elapsed, 5.0)
+
+    def test_criterion_10_cold_elliptic_count_at_450(self, capsys):
+        start = time.perf_counter()
+        failures = []
+        rc = main(["ed", "--d", "450"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        if rc != 0:
+            failures.append(f"exit code {rc}")
+        if not out.startswith("d = 450\n"):
+            failures.append(f"unexpected output head {out[:40]!r}")
+        _report(capsys, "ed --d 450 cold under 3s", failures, elapsed, 3.0)

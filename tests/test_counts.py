@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,43 @@ KNOWN_COUNTS = {
 }
 
 
+# sha256 of save_table's text for N_1..N_571, recorded with the earlier
+# evaluation of the recursion (two math.comb calls per unpaired term).
+DIGEST_TO_571 = "bfd2cd445e0d7dbb0f472862da6925f1e6e609f276e6da9816cb936bcb13c11c"
+
+
+def _pascal_rows(n_max):
+    rows = [[1]]
+    for _ in range(n_max):
+        prev = rows[-1]
+        rows.append([1] + [a + b for a, b in zip(prev, prev[1:])] + [1])
+    return rows
+
+
+def _oracle_counts(d_max):
+    """N_1..N_d_max by the unpaired two-binomial sum, term by term, on the
+    additive Pascal triangle above; memoized, and sharing no code with
+    the implementation beyond the table it is compared with."""
+    rows = _pascal_rows(max(3 * d_max - 4, 0))
+
+    def choose(n, k):
+        return rows[n][k] if 0 <= k <= n else 0
+
+    counts = {1: 1}
+    for d in range(2, d_max + 1):
+        n = 3 * d - 4
+        counts[d] = sum(
+            counts[i]
+            * counts[d - i]
+            * (
+                i * i * (d - i) ** 2 * choose(n, 3 * i - 2)
+                - i**3 * (d - i) * choose(n, 3 * i - 1)
+            )
+            for i in range(1, d)
+        )
+    return counts
+
+
 class TestBinomial:
     def test_small_values(self):
         assert binomial(5, 2) == 10
@@ -52,6 +90,13 @@ class TestBinomial:
     @given(st.integers(1, 60), st.integers(0, 60))
     def test_pascal_identity(self, n, k):
         assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+    @given(st.integers(0, 80), st.lists(st.integers(-2, 82), max_size=40))
+    def test_shared_row_matches_plain_call(self, n, ks):
+        row = [1]
+        for k in ks:
+            assert binomial(n, k, row) == binomial(n, k)
+        assert len(row) <= n // 2 + 1
 
 
 class TestRationalCount:
@@ -73,6 +118,18 @@ class TestRationalCount:
         table = RecursionTable()
         rational_count(6, table)
         assert [d for d, _ in table.items()] == list(range(1, 7))
+
+    def test_matches_unpaired_oracle_to_150(self):
+        table = RecursionTable()
+        table.fill_to(150)
+        assert dict(table.items()) == _oracle_counts(150)
+
+    def test_table_to_571_matches_pinned_digest(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        table = RecursionTable()
+        table.fill_to(571)
+        save_table(table, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGEST_TO_571
 
     def test_rejects_nonpositive_degree(self):
         with pytest.raises(ValueError):

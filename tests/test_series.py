@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,31 @@ class TestJson:
     def test_rejects_invalid_json(self):
         with pytest.raises(SeriesFormatError):
             series_from_json("{not json")
+
+
+# Every library entry point that takes a rational, called with one value.
+LITERAL_ENTRY_POINTS = {
+    "vanishing_sequence point": lambda x: vanishing_sequence(
+        SHIFTED_CUBIC_NET, at_infinity=False, point=x
+    ),
+    "translate shift": lambda x: translate(SHIFTED_CUBIC_NET, x),
+    "PolySeries coefficient": lambda x: _series(1, [x, 0], [0, 1], [1, 1]),
+    "root_sum coefficient": lambda x: root_sum([x, 1]),
+}
+
+
+class TestLibraryLiterals:
+    @pytest.mark.parametrize("entry", LITERAL_ENTRY_POINTS)
+    def test_exponent_literal_refused_at_once(self, entry):
+        start = time.perf_counter()
+        with pytest.raises(SeriesFormatError, match="exponent notation is not accepted"):
+            LITERAL_ENTRY_POINTS[entry]("1e300000")
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("entry", LITERAL_ENTRY_POINTS)
+    def test_fraction_literal_still_read(self, entry):
+        call = LITERAL_ENTRY_POINTS[entry]
+        assert call("-3/7") == call(Fraction(-3, 7))
 
 
 _rationals = st.fractions(
