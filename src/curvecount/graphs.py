@@ -47,6 +47,18 @@ def _adjacency(n: int, edges) -> list[list[int]]:
     return adj
 
 
+def _key_plan(adj, roots) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(vertex, children) over the trees at ``roots``, every vertex after its children."""
+    plan = []
+    stack = [(root, -1) for root in roots]
+    while stack:
+        v, parent = stack.pop()
+        kids = tuple(u for u in adj[v] if u != parent)
+        plan.append((v, kids))
+        stack.extend((u, v) for u in kids)
+    return tuple(reversed(plan))
+
+
 def _is_connected(n: int, edges) -> bool:
     adj = _adjacency(n, edges)
     seen = {0}
@@ -166,15 +178,35 @@ class _MarkedGraph:
         deg = sum(1 for a, b in self.edges if a == v or b == v)
         return deg + self.leg_counts[v]
 
-    def _leg_token(self, v: int) -> str:
-        if self.leg_labels is None:
-            return str(self.leg_counts[v])
-        return "{" + ",".join(str(x) for x in self.leg_labels[v]) + "}"
+    def _terms(self) -> list[str]:
+        """The grammar's ``term`` of each vertex in ``_key_plan``, over its subtree."""
+        labels = self.leg_labels
+        legs = self.leg_counts if labels is None else [
+            "{" + ",".join(map(str, own)) + "}" for own in labels
+        ]
+        weights = self.weights
+        terms = [""] * len(weights)
+        for v, kids in self._key_plan:
+            subtrees = ",".join(sorted([terms[u] for u in kids])) if kids else ""
+            terms[v] = f"({weights[v]};{legs[v]};[{subtrees}])"
+        return terms
 
-    def _term(self, v: int, parent: int, adj) -> str:
-        """The grammar's ``term`` for v and its subtree away from ``parent``."""
-        kids = sorted(self._term(u, v, adj) for u in adj[v] if u != parent)
-        return f"({self.weights[v]};{self._leg_token(v)};[{','.join(kids)}])"
+    def _with_legs(self, leg_counts, leg_labels=None):
+        """This validated skeleton with legs placed (normalized tuples), built
+        without re-validation.  It shares the skeleton's weights, edges and
+        the leg-free cached values ``_shared``; only its canonical key is new.
+        """
+        g = object.__new__(type(self))
+        # One attribute at a time, fields first as the validating constructor
+        # sets them, keeps a key-sharing __dict__: half the size of a bulk update's.
+        put = object.__setattr__
+        put(g, "weights", self.weights)
+        put(g, "edges", self.edges)
+        put(g, "leg_counts", leg_counts)
+        put(g, "leg_labels", leg_labels)
+        for name in self._shared:
+            put(g, name, getattr(self, name))
+        return g
 
     def relabeled(self, perm):
         """The same graph with vertex i renamed perm[i]; perm must fix the
@@ -198,6 +230,7 @@ class DistinguishedTree(_MarkedGraph):
     kind = "tree"
     distinguished = (0,)
     core = (0,)
+    _shared = ("e", "_key_plan")
 
     def __post_init__(self):
         super().__post_init__()
@@ -212,9 +245,13 @@ class DistinguishedTree(_MarkedGraph):
         return self.e
 
     @cached_property
+    def _key_plan(self):
+        return _key_plan(_adjacency(self.n_vertices, self.edges), (0,))
+
+    @cached_property
     def canonical_key(self) -> str:
         """Root-fixed canonical serialization; equal keys mean isomorphic."""
-        return self._term(0, -1, _adjacency(self.n_vertices, self.edges))
+        return self._terms()[0]
 
     def skeleton_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All vertex permutations fixing 0 that preserve weights and edges.
@@ -237,6 +274,7 @@ class CircuitGraph(_MarkedGraph):
 
     kind = "circuit"
     distinguished = ()
+    _shared = ("circuit", "e", "_key_plan")
 
     def __post_init__(self):
         super().__post_init__()
@@ -284,15 +322,17 @@ class CircuitGraph(_MarkedGraph):
         return self.e
 
     @cached_property
+    def _key_plan(self):
+        """The trees hanging from the circuit: every edge off it."""
+        on_circuit = set(self.circuit)
+        hanging = [(a, b) for a, b in self.edges if not (a in on_circuit and b in on_circuit)]
+        return _key_plan(_adjacency(self.n_vertices, hanging), self.circuit)
+
+    @cached_property
     def canonical_key(self) -> str:
         """Minimal rotation/reflection of the cycle of hanging-tree terms."""
-        cyc = self.circuit
-        on_circuit = set(cyc)
-        hang_edges = [
-            (a, b) for a, b in self.edges if not (a in on_circuit and b in on_circuit)
-        ]
-        adj = _adjacency(self.n_vertices, hang_edges)
-        terms = [self._term(v, -1, adj) for v in cyc]
+        terms = self._terms()
+        terms = [terms[v] for v in self.circuit]
         m = len(terms)
         best = None
         for seq in (terms, terms[::-1]):

@@ -8,6 +8,10 @@ exhaustive enumeration of isomorphism classes at desk scale, and the
 survivor classification (which strata can still meet 3d-1 general point
 conditions).
 
+Enumeration goes by skeleton, the weighted graph before legs are placed:
+each is validated once, its exact class count feeds the guard, its verdict
+is found once, and each listed shape is built from it without re-validation.
+
 Dimension conventions, with e the weight of the graph's core (the
 distinguished vertex of a tree, the circuit of a circuit graph) and k one
 less than the vertex count: the stratum is empty iff e = 1; dim = 6d-2-k
@@ -23,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import CircuitGraph, DistinguishedTree
 
@@ -77,6 +81,11 @@ def dimension(g: Shape, d: int) -> int | None:
     """Stratum dimension, or None for the empty stratum (e = 1)."""
     if not is_stable(g):
         raise ValueError(f"unstable graph has no stratum: {g.canonical_key}")
+    return _dimension(g, d)
+
+
+def _dimension(g: Shape, d: int) -> int | None:
+    """``dimension`` of a skeleton, whose listed leg profiles are all stable."""
     if g.total_weight != d:
         raise ValueError(f"graph weights sum to {g.total_weight}, not d={d}")
     e = g.e
@@ -109,10 +118,13 @@ class ShapeClass:
     In collapsed mode the shape carries leg counts and multiplicity is the
     number of full marked classes with that leg profile (up to symmetry);
     in full mode the shape carries leg labels and multiplicity is 1.
+    ``_verdict`` is the ``(dim, bound, survivor, note)`` that
+    ``enumerate_shapes`` works out once per skeleton, or None.
     """
 
     shape: Shape
     multiplicity: int
+    _verdict: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
@@ -211,23 +223,82 @@ def _apply(perm, profile) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _profile_orbits(skel: Shape, legs_total: int):
+def _cycle_lengths(perm) -> list[int]:
+    lengths, seen = [], set()
+    for v in perm:
+        length = 0
+        while v not in seen:
+            seen.add(v)
+            v, length = perm[v], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _profile_count(autos, req, legs_total: int) -> int:
+    """Leg-count profile orbits of a skeleton, by Burnside's lemma.
+
+    sigma fixes a profile exactly when the free legs (those beyond the
+    sigma-invariant minimums ``req``) are constant on sigma's cycles, so its
+    fixed profiles are the ways to make the free total out of its cycle
+    lengths, each cycle used any number of times.
+    """
+    free = legs_total - sum(req)
+    if free < 0:
+        return 0
+    fixed = 0
+    for sigma in autos:
+        ways = [1] + [0] * free
+        for length in _cycle_lengths(sigma):
+            for m in range(length, free + 1):
+                ways[m] += ways[m - length]
+        fixed += ways[free]
+    return fixed // len(autos)
+
+
+def _marked_count(autos, req, legs_total: int) -> int:
+    """Labelled leg assignments of a skeleton up to symmetry, by Burnside's lemma.
+
+    sigma fixes an assignment exactly when every leg sits on a sigma-fixed
+    vertex: it fixes none if a vertex it moves needs legs, and otherwise
+    legs! [x^legs] of the product, over its fixed vertices v, of e^x less its
+    terms x^j/j! for j < req[v].  Independent of ``_profile_orbits``.
+    """
+    fixed = 0
+    for sigma in autos:
+        if any(req[v] for v in range(len(sigma)) if sigma[v] != v):
+            continue
+        # Each fixed vertex takes e^x (None) or one of its subtracted terms j.
+        options = [[None, *range(req[v])] for v in range(len(sigma)) if sigma[v] == v]
+        for pick in itertools.product(*options):
+            short = [j for j in pick if j is not None]
+            rest = legs_total - sum(short)
+            if rest >= 0:
+                ways = math.factorial(legs_total) // math.factorial(rest)
+                ways //= math.prod(map(math.factorial, short))
+                fixed += (-1) ** len(short) * ways * (len(pick) - len(short)) ** rest
+    return fixed // len(autos)
+
+
+def _profile_orbits(skel: Shape, autos, req, legs_total: int):
     """Yield (profile, multiplicity) per orbit of valid leg-count profiles.
 
     The multiplicity counts full marked classes: multinomial(legs; p)
     times |pointwise stabilizer of p's support| over |stabilizer of p|,
     which is exact because every orbit of assignments with profile p under
-    the profile stabilizer has that same uniform size.
+    the profile stabilizer has that same uniform size.  On a rigid skeleton
+    every profile is its own orbit, with the multinomial as multiplicity.
     """
-    req = _min_legs(skel)
     free = legs_total - sum(req)
     if free < 0:
         return
     n = skel.n_vertices
-    autos = skel.skeleton_automorphisms()
     seen: set[tuple[int, ...]] = set()
     for comp in _compositions(free, n):
         p = tuple(comp[i] + req[i] for i in range(n))
+        if len(autos) == 1:
+            yield p, _multinomial(legs_total, p)
+            continue
         canon = min(_apply(sigma, p) for sigma in autos)
         if canon in seen:
             continue
@@ -241,20 +312,36 @@ def _profile_orbits(skel: Shape, legs_total: int):
         yield canon, mult
 
 
-def _with_legs(skel: Shape, counts, labels=None) -> Shape:
-    return type(skel)(skel.weights, skel.edges, counts, labels)
+def _label_sets(legs: tuple[int, ...], profile):
+    """Every way to give each vertex v profile[v] of ``legs``, labels ascending."""
+    if len(profile) == 1:
+        yield (legs,)
+        return
+    for first in itertools.combinations(legs, profile[0]):
+        rest = tuple(sorted(set(legs).difference(first)))
+        yield from ((first,) + tail for tail in _label_sets(rest, profile[1:]))
 
 
-def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool) -> list[Shape]:
+def _labelled_classes(skel: Shape, autos, req, legs_total: int) -> list[Shape]:
+    """One shape per class of labelled leg assignments: every class has one whose
+    profile is an orbit representative, so only those are tried and deduplicated."""
+    legs = tuple(range(1, legs_total + 1))
+    classes: dict[str, Shape] = {}
+    for profile, _ in _profile_orbits(skel, autos, req, legs_total):
+        for labels in _label_sets(legs, profile):
+            g = skel._with_legs(profile, labels)
+            classes.setdefault(g.canonical_key, g)
+    return list(classes.values())
+
+
+def _skeleton_groups(d: int, max_extra_vertices: int, include_circuits: bool):
+    """Yield the weighted skeletons in groups, one per species and vertex count."""
     species = [(DistinguishedTree, _labeled_trees, 1)]
     if include_circuits:
         species.append((CircuitGraph, _circuit_edge_sets, 2))
-    return [
-        skel
-        for cls, edge_sets, min_vertices in species
-        for n in range(min_vertices, max_extra_vertices + 2)
-        for skel in _weighted_skeletons(cls, edge_sets(n), d, n)
-    ]
+    for cls, edge_sets, min_vertices in species:
+        for n in range(min_vertices, max_extra_vertices + 2):
+            yield _weighted_skeletons(cls, edge_sets(n), d, n)
 
 
 def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:
@@ -281,47 +368,38 @@ def enumerate_shapes(
     """All stable nonempty shape classes with at most the given extra vertices.
 
     Collapsed mode returns leg-count profiles with multiplicities; full
-    mode materializes labelled leg assignments, one class per entry.  The
-    projected output size is computed first and a ResourceGuardError is
-    raised when it exceeds the ceiling.
+    mode materializes labelled leg assignments, one class per entry.
+    The exact output size is counted first, by Burnside's lemma per
+    skeleton; a ResourceGuardError is raised as soon as one group of
+    skeletons (a species and vertex count) takes the count past the ceiling.
     """
     _check_guards(d, max_extra_vertices, ceiling)
     legs_total = 3 * d - 1
-    skels = _skeletons(d, max_extra_vertices, include_circuits)
-    if collapsed:
-        projected = sum(
-            math.comb(legs_total + s.n_vertices - 1, s.n_vertices - 1) for s in skels
-        )
-    else:
-        projected = sum(
-            mult for s in skels for _, mult in _profile_orbits(s, legs_total)
-        )
-    if projected > ceiling:
-        raise ResourceGuardError(
-            f"projected class count {projected} exceeds the ceiling {ceiling}",
-            projected,
-        )
+    count = _profile_count if collapsed else _marked_count
+    plans = []
+    projected = 0
+    for group in _skeleton_groups(d, max_extra_vertices, include_circuits):
+        for skel in group:
+            autos, req = skel.skeleton_automorphisms(), _min_legs(skel)
+            projected += count(autos, req, legs_total)
+            plans.append((skel, autos, req))
+        if projected > ceiling:
+            raise ResourceGuardError(
+                f"projected class count {projected} exceeds the ceiling {ceiling}",
+                projected,
+            )
     out: list[ShapeClass] = []
-    for skel in skels:
+    for skel, autos, req in plans:
+        verdict = _verdict(skel, d, _dimension(skel, d))
         if collapsed:
-            for profile, mult in _profile_orbits(skel, legs_total):
-                out.append(ShapeClass(_with_legs(skel, profile), mult))
+            out.extend(
+                ShapeClass(skel._with_legs(profile), mult, verdict)
+                for profile, mult in _profile_orbits(skel, autos, req, legs_total)
+            )
         else:
-            req = _min_legs(skel)
-            n = skel.n_vertices
-            classes: dict[str, Shape] = {}
-            for assignment in itertools.product(range(n), repeat=legs_total):
-                counts = [0] * n
-                for v in assignment:
-                    counts[v] += 1
-                if any(counts[v] < req[v] for v in range(n)):
-                    continue
-                labels: list[list[int]] = [[] for _ in range(n)]
-                for leg, v in enumerate(assignment, start=1):
-                    labels[v].append(leg)
-                g = _with_legs(skel, tuple(counts), tuple(tuple(l) for l in labels))
-                classes.setdefault(g.canonical_key, g)
-            out.extend(ShapeClass(classes[key], 1) for key in sorted(classes))
+            out.extend(
+                ShapeClass(g, 1, verdict) for g in _labelled_classes(skel, autos, req, legs_total)
+            )
     out.sort(key=lambda sc: (sc.kind, sc.shape.canonical_key))
     return out
 
@@ -332,27 +410,29 @@ def survivor_threshold(d: int) -> int:
     return 6 * d - 2
 
 
+def _verdict(g: Shape, d: int, dim: int | None) -> tuple:
+    """(dim, bound, survivor, note) from the dimension; depends only on g's skeleton."""
+    bound = _bound_from(g, d, dim)
+    note = None
+    if g.kind == "tree" and g.e == 0 and g.k == 2 and all(w > 0 for w in g.weights[1:]):
+        note = POSITIVE_PARTITION_NOTE
+    return dim, bound, bound is not None and bound >= survivor_threshold(d), note
+
+
 def classify(shape_class: ShapeClass, d: int) -> ClassifiedStratum:
     """Dimension data and survivor verdict of one shape class.
 
     A stratum survives iff it is nonempty and its deformation bound is at
     least ``survivor_threshold(d)``.  Trees with e = 0, k = 2 and both
     weights positive survive the count but are flagged: such unions of two
-    positive-degree curves are avoided geometrically.
+    positive-degree curves are avoided geometrically.  Classes listed by
+    ``enumerate_shapes`` carry their skeleton's verdict; others are checked.
     """
+    verdict = shape_class._verdict
     shape = shape_class.shape
-    dim = dimension(shape, d)
-    bound = _bound_from(shape, d, dim)
-    note = None
-    if (
-        shape.kind == "tree"
-        and shape.e == 0
-        and shape.k == 2
-        and all(w > 0 for w in shape.weights[1:])
-    ):
-        note = POSITIVE_PARTITION_NOTE
-    survivor = bound is not None and bound >= survivor_threshold(d)
-    return ClassifiedStratum(shape_class, dim, bound, survivor, note)
+    if verdict is None or d != shape.total_weight:
+        verdict = _verdict(shape, d, dimension(shape, d))
+    return ClassifiedStratum(shape_class, *verdict)
 
 
 def classify_survivors(

@@ -223,10 +223,22 @@ class TestStrata:
 
     def test_guard_ceiling(self, capsys):
         rc, _, err = run(capsys, [
-            "strata", "--d", "3", "--max-extra", "2", "--ceiling", "500",
+            "strata", "--d", "3", "--max-extra", "2", "--ceiling", "374",
         ])
         assert rc == 4
-        assert err == "error: projected class count 523 exceeds the ceiling 500\n"
+        assert err == "error: projected class count 375 exceeds the ceiling 374\n"
+
+    def test_guard_trips_before_building_every_skeleton(self, capsys):
+        # The exact projection is accumulated one group of skeletons at a
+        # time, so the refusal comes long before the 4-extra-vertex
+        # skeletons of degree 24 would all be built.
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["strata", "--d", "24", "--max-extra", "4"])
+        elapsed = time.perf_counter() - start
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: projected class count ")
+        assert err.endswith(" exceeds the ceiling 500000\n")
+        assert elapsed < 1.0
 
     def test_rejects_low_degree(self, capsys):
         rc, _, _ = run(capsys, ["strata", "--d", "2"])
@@ -350,3 +362,94 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert proc.stdout == "d,N\n1,1\n2,1\n3,12\n"
+
+
+HELP_TEXT = {
+    "": """\
+usage: curvecount [-h] {nd,ed,strata,series} ...
+
+Exact counts of rational and fixed-j elliptic plane curves, stratum-shape
+enumeration, and vanishing-order checks.
+
+positional arguments:
+  {nd,ed,strata,series}
+    nd                  rational curve counts for d = 1..max
+    ed                  elliptic fixed-j counts and the ZT invariant
+    strata              enumerate and classify stratum shapes
+    series              vanishing sequence and root-sum relation of a net
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "nd": """\
+usage: curvecount nd [-h] --max MAX_D [--cache PATH]
+                     [--format {plain,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --max MAX_D
+  --cache PATH          persistent count table
+  --format {plain,json,csv}
+""",
+    "ed": """\
+usage: curvecount ed [-h] --d D [--j {generic,0,1728,all}] [--cache PATH]
+                     [--format {plain,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D
+  --j {generic,0,1728,all}
+  --cache PATH          persistent count table
+  --format {plain,json,csv}
+""",
+    "strata": """\
+usage: curvecount strata [-h] --d D [--max-extra MAX_EXTRA] [--full]
+                         [--include-circuits] [--survivors-only]
+                         [--ceiling CEILING] [--format {plain,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D
+  --max-extra MAX_EXTRA
+  --full                materialize labelled marked classes instead of
+                        collapsed profiles
+  --include-circuits
+  --survivors-only
+  --ceiling CEILING
+  --format {plain,json,csv}
+""",
+    "series": """\
+usage: curvecount series [-h] [--at-infinity | --at P]
+                         [--format {plain,json,csv}]
+                         file
+
+positional arguments:
+  file                  series JSON document
+
+options:
+  -h, --help            show this help message and exit
+  --at-infinity         evaluate at infinity (default)
+  --at P                evaluate at the exact rational P
+  --format {plain,json,csv}
+""",
+}
+
+
+class TestHelpText:
+    """The parser's text, pinned byte for byte at an 80-column terminal."""
+
+    @pytest.mark.parametrize("command", list(HELP_TEXT))
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, err = run(capsys, [command, "--help"] if command else ["--help"])
+        assert (rc, out, err) == (0, HELP_TEXT[command], "")
+
+    def test_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, err = run(capsys, ["frob"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "usage: curvecount [-h] {nd,ed,strata,series} ...\n"
+            "curvecount: error: argument command: invalid choice: 'frob' "
+            "(choose from 'nd', 'ed', 'strata', 'series')\n"
+        )

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from curvecount.graphs import CircuitGraph, DistinguishedTree
@@ -6,6 +8,13 @@ from curvecount.strata import (
     POSITIVE_PARTITION_NOTE,
     ResourceGuardError,
     ShapeClass,
+    _dimension,
+    _marked_count,
+    _min_legs,
+    _profile_count,
+    _profile_orbits,
+    _skeleton_groups,
+    _verdict,
     classify,
     classify_survivors,
     deformation_bound,
@@ -235,12 +244,19 @@ class TestGuards:
 
     def test_ceiling_trip_reports_projection(self):
         with pytest.raises(ResourceGuardError) as err:
-            enumerate_shapes(3, 2, ceiling=500)
-        assert err.value.projected == 523
-        assert "523" in str(err.value)
+            enumerate_shapes(3, 2, ceiling=374)
+        assert err.value.projected == 375
+        assert "375" in str(err.value)
 
     def test_projection_bounds_actual_class_count(self):
         assert len(enumerate_shapes(3, 2)) <= 523
+
+    def test_exact_projection_admits_degree_four_with_circuits(self):
+        # The exact count, 380,027, is under the default ceiling.  The last
+        # group of skeletons crosses this one, so the reported total is the full one.
+        with pytest.raises(ResourceGuardError) as err:
+            enumerate_shapes(4, 4, include_circuits=True, ceiling=380_026)
+        assert err.value.projected == 380_027
 
     def test_full_mode_ceiling_uses_marked_projection(self):
         with pytest.raises(ResourceGuardError) as err:
@@ -335,3 +351,122 @@ class TestSurvivors:
                 assert ok_trivial or ok_flagged
             elif s.dim is not None:
                 assert s.bound < threshold
+
+
+def _skeletons(d, k, circuits):
+    return [skel for group in _skeleton_groups(d, k, circuits) for skel in group]
+
+
+class TestBurnside:
+    """Burnside counts, orbit multiplicities and listings check each other."""
+
+    CASES = [(3, 2, False), (4, 2, True), (5, 1, True), (3, 3, True)]
+
+    @pytest.mark.parametrize("d, k, circuits", CASES)
+    def test_counts_agree(self, d, k, circuits):
+        legs = 3 * d - 1
+        marked = profiles = orbit_mult = orbits = 0
+        for skel in _skeletons(d, k, circuits):
+            autos, req = skel.skeleton_automorphisms(), _min_legs(skel)
+            marked += _marked_count(autos, req, legs)
+            profiles += _profile_count(autos, req, legs)
+            found = list(_profile_orbits(skel, autos, req, legs))
+            orbit_mult += sum(mult for _, mult in found)
+            orbits += len(found)
+        listed = enumerate_shapes(d, k, include_circuits=circuits)
+        assert marked == orbit_mult == sum(c.multiplicity for c in listed)
+        assert profiles == orbits == len(listed)
+        # The guard projects exactly the class count of either mode.
+        with pytest.raises(ResourceGuardError) as err:
+            enumerate_shapes(d, k, include_circuits=circuits, ceiling=len(listed) - 1)
+        assert err.value.projected == len(listed)
+        with pytest.raises(ResourceGuardError) as err:
+            enumerate_shapes(d, k, collapsed=False, include_circuits=circuits, ceiling=marked - 1)
+        assert err.value.projected == marked
+
+    def test_full_listing_matches_marked_count(self, full_3_2):
+        legs = 8
+        marked = sum(
+            _marked_count(skel.skeleton_automorphisms(), _min_legs(skel), legs)
+            for skel in _skeletons(3, 2, False)
+        )
+        assert len(full_3_2) == marked == 61248
+
+    @pytest.mark.parametrize("d, k, circuits", [(3, 1, True), (4, 1, False)])
+    def test_full_listing_matches_product_and_dedup(self, d, k, circuits):
+        # Oracle: every labelled assignment of every skeleton, each built by
+        # the validating constructor, deduplicated by canonical key.
+        legs = 3 * d - 1
+        keys = set()
+        for skel in _skeletons(d, k, circuits):
+            n, req = skel.n_vertices, _min_legs(skel)
+            for assignment in itertools.product(range(n), repeat=legs):
+                labels = [[] for _ in range(n)]
+                for leg, v in enumerate(assignment, start=1):
+                    labels[v].append(leg)
+                counts = tuple(len(l) for l in labels)
+                if all(counts[v] >= req[v] for v in range(n)):
+                    keys.add(type(skel)(skel.weights, skel.edges, counts, labels).canonical_key)
+        listed = enumerate_shapes(d, k, collapsed=False, include_circuits=circuits)
+        assert sorted(c.shape.canonical_key for c in listed) == sorted(keys)
+
+
+@pytest.fixture(scope="module")
+def full_3_2():
+    return enumerate_shapes(3, 2, collapsed=False)
+
+
+class TestRebuild:
+    """Shapes built from their skeleton without re-validation are exactly
+    the ones the validating constructor builds from the same fields."""
+
+    def _check(self, classes, d):
+        for sc in classes:
+            g = sc.shape
+            rebuilt = type(g)(g.weights, g.edges, g.leg_counts, g.leg_labels)
+            assert g == rebuilt
+            assert g.canonical_key == rebuilt.canonical_key
+            assert (g.e, g.k, g.kind) == (rebuilt.e, rebuilt.k, rebuilt.kind)
+            ours = classify(sc, d)
+            fresh = classify(ShapeClass(rebuilt, sc.multiplicity), d)
+            assert (ours.dim, ours.bound, ours.survivor, ours.note) == (
+                fresh.dim, fresh.bound, fresh.survivor, fresh.note
+            )
+
+    def test_full_trees(self, full_3_2):
+        self._check(full_3_2, 3)
+
+    def test_collapsed_with_circuits(self):
+        classes = enumerate_shapes(4, 2, include_circuits=True)
+        assert any(c.kind == "circuit" for c in classes)
+        self._check(classes, 4)
+
+    def test_listed_class_with_wrong_degree_still_refused(self):
+        sc = enumerate_shapes(3, 0)[0]
+        with pytest.raises(ValueError):
+            classify(sc, 4)
+
+
+def _in_survivor_family(g):
+    """The one-vertex tree, or an e = 0, k = 2 tree with both extra weights positive."""
+    if g.kind != "tree":
+        return False
+    return g.k == 0 or (g.e == 0 and g.k == 2 and all(w > 0 for w in g.weights[1:]))
+
+
+class TestSurvivorFamilies:
+    @pytest.mark.parametrize("d, survivors", [(3, 136), (4, 355), (5, 721)])
+    def test_listed_survivors_are_the_two_families(self, d, survivors):
+        strata = classify_survivors(d, 3, include_circuits=True)
+        assert sum(s.survivor for s in strata) == survivors
+        for s in strata:
+            assert s.survivor == _in_survivor_family(s.shape_class.shape)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_skeleton_verdicts_are_the_two_families(self, d):
+        legs = 3 * d - 1
+        for skel in _skeletons(d, 3, True):
+            if sum(_min_legs(skel)) > legs:
+                continue  # no stable leg profile: the skeleton lists nothing
+            _, _, survivor, _ = _verdict(skel, d, _dimension(skel, d))
+            assert survivor == _in_survivor_family(skel)
