@@ -8,6 +8,14 @@ string so consumers with 53-bit floats cannot corrupt it.
 
 Exit codes: 0 success, 2 usage or input error, 3 corrupt cache file,
 4 resource guard, 5 mathematical precondition (rank-deficient net).
+
+Each subcommand's arguments are listed once, in ``_SUBCOMMANDS``.  A
+well-formed command line (exact option names, each at most once, valid
+values) is read straight from that table by ``_read_argv``; everything
+else, ``--help`` and every usage error included, goes to the argparse
+parser that ``_build_parser`` builds from the same table.  Building that
+parser costs more than most desk requests (gettext imports ``locale`` on
+its first message), so plain requests never build it.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .counts import (
     CacheError,
@@ -53,6 +62,79 @@ ED_DEGREE_CEILING = 571
 _J_BY_SELECTOR = {"generic": JClass.GENERIC, "0": JClass.J_ZERO, "1728": JClass.J_1728}
 
 
+class _Arg(NamedTuple):
+    """One argument of a subcommand, read by ``_build_parser`` and ``_read_argv``.
+
+    ``flag`` is ``--name`` for an option and the bare name of a positional;
+    ``kind`` is int, str, a tuple of choices, or bool for a store-true flag;
+    ``exclusive`` puts the option in its subcommand's one mutually exclusive group.
+    """
+
+    flag: str
+    dest: str
+    kind: object = str
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+    exclusive: bool = False
+
+
+_CACHE = _Arg("--cache", "cache", help="persistent count table", metavar="PATH")
+_FORMAT = _Arg("--format", "output", ("plain", "json", "csv"), "plain")
+
+# Subcommand -> (its help line, its arguments in help order).
+_SUBCOMMANDS = {
+    "nd": (
+        "rational curve counts for d = 1..max",
+        (_Arg("--max", "max_d", int, required=True), _CACHE, _FORMAT),
+    ),
+    "ed": (
+        "elliptic fixed-j counts and the ZT invariant",
+        (
+            _Arg("--d", "d", int, required=True),
+            _Arg("--j", "j_selector", ("generic", "0", "1728", "all"), "all"),
+            _CACHE,
+            _FORMAT,
+        ),
+    ),
+    "strata": (
+        "enumerate and classify stratum shapes",
+        (
+            _Arg("--d", "d", int, required=True),
+            _Arg("--max-extra", "max_extra", int, 2),
+            _Arg(
+                "--full",
+                "full",
+                bool,
+                False,
+                help="materialize labelled marked classes instead of collapsed profiles",
+            ),
+            _Arg("--include-circuits", "include_circuits", bool, False),
+            _Arg("--survivors-only", "survivors_only", bool, False),
+            _Arg("--ceiling", "ceiling", int, DEFAULT_CLASS_CEILING),
+            _FORMAT,
+        ),
+    ),
+    "series": (
+        "vanishing sequence and root-sum relation of a net",
+        (
+            _Arg("file", "file", required=True, help="series JSON document"),
+            _Arg(
+                "--at-infinity",
+                "at_infinity",
+                bool,
+                False,
+                help="evaluate at infinity (default)",
+                exclusive=True,
+            ),
+            _Arg("--at", "at", help="evaluate at the exact rational P", metavar="P", exclusive=True),
+            _FORMAT,
+        ),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvecount",
@@ -62,50 +144,84 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_format(sp):
-        sp.add_argument(
-            "--format", choices=("plain", "json", "csv"), default="plain", dest="output"
-        )
-
-    nd = sub.add_parser("nd", help="rational curve counts for d = 1..max")
-    nd.add_argument("--max", type=int, required=True, dest="max_d")
-    nd.add_argument("--cache", metavar="PATH", help="persistent count table")
-    with_format(nd)
-
-    ed = sub.add_parser("ed", help="elliptic fixed-j counts and the ZT invariant")
-    ed.add_argument("--d", type=int, required=True)
-    ed.add_argument(
-        "--j", choices=("generic", "0", "1728", "all"), default="all", dest="j_selector"
-    )
-    ed.add_argument("--cache", metavar="PATH", help="persistent count table")
-    with_format(ed)
-
-    st = sub.add_parser("strata", help="enumerate and classify stratum shapes")
-    st.add_argument("--d", type=int, required=True)
-    st.add_argument("--max-extra", type=int, default=2, dest="max_extra")
-    st.add_argument(
-        "--full",
-        action="store_true",
-        help="materialize labelled marked classes instead of collapsed profiles",
-    )
-    st.add_argument("--include-circuits", action="store_true", dest="include_circuits")
-    st.add_argument("--survivors-only", action="store_true", dest="survivors_only")
-    st.add_argument("--ceiling", type=int, default=DEFAULT_CLASS_CEILING)
-    with_format(st)
-
-    se = sub.add_parser(
-        "series", help="vanishing sequence and root-sum relation of a net"
-    )
-    se.add_argument("file", help="series JSON document")
-    where = se.add_mutually_exclusive_group()
-    where.add_argument(
-        "--at-infinity", action="store_true", help="evaluate at infinity (default)"
-    )
-    where.add_argument("--at", metavar="P", help="evaluate at the exact rational P")
-    with_format(se)
-
+    for command, (summary, spec) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        group = None
+        for arg in spec:
+            target = sp
+            if arg.exclusive:
+                group = group or sp.add_mutually_exclusive_group()
+                target = group
+            if not arg.flag.startswith("-"):
+                target.add_argument(arg.flag, help=arg.help, metavar=arg.metavar)
+            elif arg.kind is bool:
+                target.add_argument(arg.flag, action="store_true", dest=arg.dest, help=arg.help)
+            else:
+                target.add_argument(
+                    arg.flag,
+                    type=int if arg.kind is int else None,
+                    choices=arg.kind if isinstance(arg.kind, tuple) else None,
+                    default=arg.default,
+                    required=arg.required,
+                    dest=arg.dest,
+                    help=arg.help,
+                    metavar=arg.metavar,
+                )
     return parser
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """What ``_build_parser().parse_args(argv)`` returns, read without building
+    the parser, or None to leave ``argv`` to argparse.
+
+    Only plain spellings are read: the subcommand first, then exact option
+    names as ``--opt value`` or ``--opt=value``, each at most once, flags
+    without ``=``, and positionals and separate values that do not start with
+    ``-``.  Help, abbreviations, repeats, ``--``, conflicts, missing or invalid
+    values and anything else are declined, so argparse keeps every message.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    spec = _SUBCOMMANDS[argv[0]][1]
+    options = {arg.flag: arg for arg in spec if arg.flag.startswith("-")}
+    positionals = [arg for arg in spec if not arg.flag.startswith("-")]
+    values: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            arg, value = positionals.pop(0), token
+        else:
+            flag, eq, value = token.partition("=")
+            arg = options.get(flag)
+            if arg is None or arg.dest in values:
+                return None
+            if arg.kind is bool:
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops it, leaving no value
+                return None
+        if arg.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(arg.kind, tuple) and value not in arg.kind:
+            return None
+        values[arg.dest] = value
+    if any(arg.required and arg.dest not in values for arg in spec):
+        return None
+    if sum(arg.exclusive and arg.dest in values for arg in spec) > 1:
+        return None
+    return argparse.Namespace(
+        command=argv[0], **{arg.dest: values.get(arg.dest, arg.default) for arg in spec}
+    )
 
 
 def _table_for(args: argparse.Namespace) -> RecursionTable:
@@ -370,14 +486,14 @@ def _glue_at_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(
-            _glue_at_values(sys.argv[1:] if argv is None else argv)
-        )
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    argv = _glue_at_values(sys.argv[1:] if argv is None else argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
     except CacheError as exc:

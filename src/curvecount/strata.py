@@ -205,15 +205,16 @@ def _circuit_edge_sets(n: int):
         yield combo
 
 
-def _weighted_skeletons(cls, edge_sets, d: int, n: int) -> list[Shape]:
-    """Nonempty (e != 1) weighted skeletons of ``cls`` on n vertices, one per class."""
-    seen: dict[str, Shape] = {}
+def _weighted_skeletons(cls, edge_sets, d: int, n: int):
+    """Yield the nonempty (e != 1) weighted skeletons of ``cls`` on n vertices,
+    one per class, each as soon as its class is first seen."""
+    seen: set[str] = set()
     for edges in edge_sets:
         for w in _compositions(d, n):
             skel = cls(w, edges, (0,) * n)
-            if skel.e != 1:
-                seen.setdefault(skel.canonical_key, skel)
-    return [seen[key] for key in sorted(seen)]
+            if skel.e != 1 and skel.canonical_key not in seen:
+                seen.add(skel.canonical_key)
+                yield skel
 
 
 def _apply(perm, profile) -> tuple[int, ...]:
@@ -334,14 +335,14 @@ def _labelled_classes(skel: Shape, autos, req, legs_total: int) -> list[Shape]:
     return list(classes.values())
 
 
-def _skeleton_groups(d: int, max_extra_vertices: int, include_circuits: bool):
-    """Yield the weighted skeletons in groups, one per species and vertex count."""
+def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
+    """Yield every weighted skeleton once, by species and then vertex count."""
     species = [(DistinguishedTree, _labeled_trees, 1)]
     if include_circuits:
         species.append((CircuitGraph, _circuit_edge_sets, 2))
     for cls, edge_sets, min_vertices in species:
         for n in range(min_vertices, max_extra_vertices + 2):
-            yield _weighted_skeletons(cls, edge_sets(n), d, n)
+            yield from _weighted_skeletons(cls, edge_sets(n), d, n)
 
 
 def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:
@@ -370,24 +371,23 @@ def enumerate_shapes(
     Collapsed mode returns leg-count profiles with multiplicities; full
     mode materializes labelled leg assignments, one class per entry.
     The exact output size is counted first, by Burnside's lemma per
-    skeleton; a ResourceGuardError is raised as soon as one group of
-    skeletons (a species and vertex count) takes the count past the ceiling.
+    skeleton; a ResourceGuardError is raised as soon as one skeleton takes
+    the running count past the ceiling, before the rest are built.
     """
     _check_guards(d, max_extra_vertices, ceiling)
     legs_total = 3 * d - 1
     count = _profile_count if collapsed else _marked_count
     plans = []
     projected = 0
-    for group in _skeleton_groups(d, max_extra_vertices, include_circuits):
-        for skel in group:
-            autos, req = skel.skeleton_automorphisms(), _min_legs(skel)
-            projected += count(autos, req, legs_total)
-            plans.append((skel, autos, req))
+    for skel in _skeletons(d, max_extra_vertices, include_circuits):
+        autos, req = skel.skeleton_automorphisms(), _min_legs(skel)
+        projected += count(autos, req, legs_total)
         if projected > ceiling:
             raise ResourceGuardError(
                 f"projected class count {projected} exceeds the ceiling {ceiling}",
                 projected,
             )
+        plans.append((skel, autos, req))
     out: list[ShapeClass] = []
     for skel, autos, req in plans:
         verdict = _verdict(skel, d, _dimension(skel, d))

@@ -1,10 +1,15 @@
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvecount import cli
 from curvecount.cli import main
 
 MONOMIAL_NET_JSON = (
@@ -229,9 +234,9 @@ class TestStrata:
         assert err == "error: projected class count 375 exceeds the ceiling 374\n"
 
     def test_guard_trips_before_building_every_skeleton(self, capsys):
-        # The exact projection is accumulated one group of skeletons at a
-        # time, so the refusal comes long before the 4-extra-vertex
-        # skeletons of degree 24 would all be built.
+        # The exact projection is accumulated one skeleton at a time, so the
+        # refusal comes long before the 4-extra-vertex skeletons of degree 24
+        # would all be built.
         start = time.perf_counter()
         rc, out, err = run(capsys, ["strata", "--d", "24", "--max-extra", "4"])
         elapsed = time.perf_counter() - start
@@ -239,6 +244,16 @@ class TestStrata:
         assert err.startswith("error: projected class count ")
         assert err.endswith(" exceeds the ceiling 500000\n")
         assert elapsed < 1.0
+
+    def test_guard_trips_inside_a_group(self, capsys):
+        # Each skeleton's count is added as it is first seen, so the refusal
+        # comes a few skeletons into the 3-vertex trees, not after building
+        # all 34,000 weightings of that group.
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["strata", "--d", "150", "--max-extra", "2"])
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (4, "")
+        assert err.endswith(" exceeds the ceiling 500000\n")
 
     def test_rejects_low_degree(self, capsys):
         rc, _, _ = run(capsys, ["strata", "--d", "2"])
@@ -453,3 +468,208 @@ class TestHelpText:
             "curvecount: error: argument command: invalid choice: 'frob' "
             "(choose from 'nd', 'ed', 'strata', 'series')\n"
         )
+
+
+FAST_PATH = [
+    (
+        ["nd", "--max", "3", "--format=json"],
+        '{"d_max":3,"values":[{"d":1,"N":"1"},{"d":2,"N":"1"},{"d":3,"N":"12"}]}\n',
+    ),
+    (["ed", "--d", "4", "--j=1728", "--format", "csv"], "d,j,E,ZT\n4,1728,930,1860\n"),
+    (
+        [
+            "strata", "--d", "3", "--max-extra=1", "--survivors-only",
+            "--include-circuits", "--ceiling", "1000",
+        ],
+        "kind  e  k  dim  bound  survivor  multiplicity  shape     note\n"
+        "tree  3  0  16   16     yes       1             (3;8;[])  -\n"
+        "classes: 43 (listed: 1)\n"
+        "marked total: 1271\n"
+        "single-tail family: 256 (expected 2^8 = 256)\n"
+        "survivors: 1\n",
+    ),
+    (
+        ["series", "NET", "--at", "-2/5"],
+        "degree = 3\npoint = -2/5\norders = (0, 1, 2)\nK = 0\n"
+        "degenerate = false\ncriterion = true\n",
+    ),
+    (
+        ["series", "NET", "--at=-2/5", "--format=json"],
+        '{"degree":3,"point":"-2/5","orders":[0,1,2],"K":"0",'
+        '"degenerate":false,"criterion":true}\n',
+    ),
+    (
+        ["series", "--at-infinity", "NET", "--format", "csv"],
+        "degree,point,a0,a1,a2,K,degenerate,criterion\n3,infinity,0,2,3,0,false,true\n",
+    ),
+]
+
+
+@pytest.fixture
+def net_file(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(MONOMIAL_NET_JSON)
+    return str(path)
+
+
+class TestFastPath:
+    """Well-formed requests are read without building the argparse parser."""
+
+    @pytest.mark.parametrize("argv, expected", FAST_PATH)
+    def test_no_parser_built(self, capsys, monkeypatch, net_file, argv, expected):
+        def refuse():
+            raise AssertionError("the argparse parser was built")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        argv = [net_file if token == "NET" else token for token in argv]
+        assert run(capsys, argv) == (0, expected, "")
+
+
+class TestArgparseFallback:
+    """Spellings the direct reader declines still parse exactly as argparse does."""
+
+    @pytest.fixture
+    def parser_builds(self, monkeypatch):
+        calls = []
+        build = cli._build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["nd", "--ma", "3", "--format=csv"], "d,N\n1,1\n2,1\n3,12\n"),
+            (["nd", "--max", "3", "--format", "json", "--format", "csv"], "d,N\n1,1\n2,1\n3,12\n"),
+            (["ed", "--d", "-3", "--d", "3", "--j", "0", "--for", "csv"], "d,j,E,ZT\n3,0,4,12\n"),
+            (
+                ["strata", "--d", "3", "--max-e", "0", "--survivors-only", "--survivors-only"],
+                "kind  e  k  dim  bound  survivor  multiplicity  shape     note\n"
+                "tree  3  0  16   16     yes       1             (3;8;[])  -\n"
+                "classes: 1 (listed: 1)\nmarked total: 1\nsurvivors: 1\n",
+            ),
+        ],
+    )
+    def test_declined_spellings(self, capsys, parser_builds, argv, expected):
+        assert run(capsys, argv) == (0, expected, "")
+        assert parser_builds == [1]
+
+    def test_double_dash_positional(self, capsys, parser_builds, net_file):
+        rc, out, _ = run(capsys, ["series", "--at", "1/2", "--", net_file])
+        assert (rc, parser_builds) == (0, [1])
+        assert "point = 1/2\n" in out
+
+    def test_conflicting_points_are_a_usage_error(self, capsys, parser_builds, net_file):
+        rc, out, err = run(capsys, ["series", net_file, "--at-infinity", "--at", "1/2"])
+        assert (rc, out, parser_builds) == (2, "", [1])
+        assert "not allowed with argument --at-infinity" in err
+
+
+_NAMES = sorted(
+    {arg.flag for _, spec in cli._SUBCOMMANDS.values() for arg in spec if arg.flag[0] == "-"}
+)
+_PREFIXES = sorted({name[:i] for name in _NAMES for i in range(1, len(name))})
+_VALUES = [
+    "3", "4", "0", "-2", "+5", " 6", "1_0", "007", "x", "", "1/2", "-2/5", "-", "--",
+    "plain", "json", "csv", "xml", "generic", "1728", "all", "net.json", "a b", "-x y", "nd",
+]
+_FLAG_LIKE = st.sampled_from(_NAMES + _PREFIXES + ["-h", "--help", "--max-extra-x"])
+_VALUE = st.sampled_from(_VALUES)
+_TOKEN = st.one_of(
+    _FLAG_LIKE,
+    _VALUE,
+    st.builds(lambda name, value: f"{name}={value}", _FLAG_LIKE, _VALUE),
+)
+
+
+def _values_for(arg):
+    if arg.kind is int:
+        usual = ["3", "4", "0", "-2", "+5", " 6", "1_0", "007"]
+    elif isinstance(arg.kind, tuple):
+        usual = list(arg.kind)
+    else:
+        usual = ["net.json", "1/2", "-2/5", "a b", "", "-", "--"]
+    return st.one_of(st.sampled_from(usual), st.sampled_from(usual), _VALUE)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and its arguments, the required ones mostly present, each
+    spelled one of the ways argparse reads it, at times a repeat or stray tokens."""
+    command = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    spec = cli._SUBCOMMANDS[command][1]
+    chosen = [arg for arg in spec if draw(st.integers(0, 7)) < (7 if arg.required else 4)]
+    if not draw(st.integers(0, 5)):
+        chosen.append(draw(st.sampled_from(spec)))
+    argv = [command]
+    for arg in draw(st.permutations(chosen)):
+        value = draw(_values_for(arg))
+        if arg.flag[0] != "-":
+            argv.append(value)
+            continue
+        exact = draw(st.integers(0, 4))
+        name = arg.flag if exact else draw(st.sampled_from(_NAMES + _PREFIXES))
+        if arg.kind is bool:
+            argv.append(name if exact > 1 else f"{name}={value}")
+        else:
+            argv.extend([name, value] if exact % 2 else [f"{name}={value}"])
+    for _ in range(max(0, draw(st.integers(-2, 2)))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_TOKEN))
+    return argv
+
+
+def _typed(namespace):
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
+class TestDirectReader:
+    """The reader returns exactly argparse's Namespace, or declines."""
+
+    @given(argv=st.one_of(_argv(), st.lists(_TOKEN, max_size=8)))
+    @settings(max_examples=1000, deadline=None)
+    def test_reads_as_argparse_or_declines(self, argv):
+        glued = cli._glue_at_values(argv)
+        read = cli._read_argv(glued)
+        if read is None:
+            return
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                parsed = cli._build_parser().parse_args(glued)
+            except SystemExit:
+                pytest.fail(f"read {argv!r}, which argparse refuses")
+        assert _typed(read) == _typed(parsed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nd", "--max", "3", "--cache", "-2/5"],  # argparse: expected one argument
+            ["nd", "--max", "3", "--cache", "-"],  # argparse reads '-' as a value
+            ["nd", "--format", "csv"],  # --max is required
+            ["nd", "--max", "3", "--format", "xml"],
+            ["nd", "--max", "3", "--max", "4"],
+            ["nd", "--max", "3", "extra"],
+            ["ed", "--d", "three"],
+            ["strata", "--d", "3", "--full=yes"],
+            ["series", "--at", "1/2"],  # the file is required
+            ["series", "net.json", "--at=--"],  # argparse drops '--', leaving no value
+            ["series", "net.json", "--at-infinity", "--at", "1/2"],
+            ["series", "net.json", "--", "--at", "1/2"],
+            ["series", "-", "--at", "1/2"],
+            ["series", "net.json", "--at"],
+            ["frob"],
+            [],
+        ],
+    )
+    def test_declines(self, argv):
+        assert cli._read_argv(cli._glue_at_values(argv)) is None
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in FAST_PATH])
+    def test_reads_the_fast_path_requests(self, argv):
+        glued = cli._glue_at_values(argv)
+        read = cli._read_argv(glued)
+        assert read is not None
+        assert _typed(read) == _typed(cli._build_parser().parse_args(glued))

@@ -13,7 +13,7 @@ from curvecount.strata import (
     _min_legs,
     _profile_count,
     _profile_orbits,
-    _skeleton_groups,
+    _skeletons,
     _verdict,
     classify,
     classify_survivors,
@@ -351,10 +351,6 @@ class TestSurvivors:
                 assert ok_trivial or ok_flagged
             elif s.dim is not None:
                 assert s.bound < threshold
-
-
-def _skeletons(d, k, circuits):
-    return [skel for group in _skeleton_groups(d, k, circuits) for skel in group]
 
 
 class TestBurnside:
