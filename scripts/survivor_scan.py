@@ -40,8 +40,7 @@ def main():
     print()
 
     groups = Counter(
-        (s.shape_class.kind, s.shape_class.e, s.shape_class.k, s.dim, s.bound)
-        for s in avoided
+        (s.kind, s.e, s.k, s.dim, s.bound) for s in avoided
     )
     print(f"avoided classes: {len(avoided)}")
     for (kind, e, k, dim, bound), count in sorted(groups.items()):
@@ -56,9 +55,8 @@ def main():
     for s in survivors:
         note = f"  [{s.note}]" if s.note else ""
         print(
-            f"  {s.shape_class.kind:>7} dim={s.dim} bound={s.bound} "
-            f"mult={s.shape_class.multiplicity} "
-            f"{s.shape_class.shape.canonical_key}{note}"
+            f"  {s.kind:>7} dim={s.dim} bound={s.bound} "
+            f"mult={s.multiplicity} {s.shape.canonical_key}{note}"
         )
     flagged = sum(1 for s in survivors if s.note)
     print()

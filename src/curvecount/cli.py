@@ -48,7 +48,6 @@ from .series import (
 from .strata import (
     DEFAULT_CLASS_CEILING,
     ResourceGuardError,
-    classify,
     enumerate_shapes,
 )
 
@@ -205,8 +204,6 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
                 value = next(tokens, "-")
                 if value.startswith("-"):
                     return None
-            elif value == "--":  # argparse drops it, leaving no value
-                return None
         if arg.kind is int:
             try:
                 value = int(value)
@@ -317,7 +314,6 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         include_circuits=args.include_circuits,
         ceiling=args.ceiling,
     )
-    rows = [classify(sc, d) for sc in shapes]
     marked_total = sum(sc.multiplicity for sc in shapes)
     single_tail = (
         sum(
@@ -329,8 +325,8 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         else None
     )
     expected_tail = 2 ** (3 * d - 1) if args.max_extra >= 1 else None
-    survivors = sum(1 for r in rows if r.survivor)
-    shown = [r for r in rows if r.survivor] if args.survivors_only else rows
+    survivors = sum(1 for sc in shapes if sc.survivor)
+    shown = [sc for sc in shapes if sc.survivor] if args.survivors_only else shapes
 
     if args.output == "csv":
         _emit_csv(
@@ -341,14 +337,13 @@ def _cmd_strata(args: argparse.Namespace) -> int:
                     sc.shape.canonical_key,
                     str(sc.e),
                     str(sc.k),
-                    str(r.dim),
-                    str(r.bound),
-                    "true" if r.survivor else "false",
-                    r.note or "",
+                    str(sc.dim),
+                    str(sc.bound),
+                    "true" if sc.survivor else "false",
+                    sc.note or "",
                     str(sc.multiplicity),
                 ]
-                for r in shown
-                for sc in (r.shape_class,)
+                for sc in shown
             ],
         )
     elif args.output == "json":
@@ -365,17 +360,16 @@ def _cmd_strata(args: argparse.Namespace) -> int:
                         "shape": sc.shape.canonical_key,
                         "e": sc.e,
                         "k": sc.k,
-                        "dim": r.dim,
-                        "bound": r.bound,
-                        "survivor": r.survivor,
-                        "note": r.note,
+                        "dim": sc.dim,
+                        "bound": sc.bound,
+                        "survivor": sc.survivor,
+                        "note": sc.note,
                         "multiplicity": str(sc.multiplicity),
                     }
-                    for r in shown
-                    for sc in (r.shape_class,)
+                    for sc in shown
                 ],
                 "summary": {
-                    "classes": len(rows),
+                    "classes": len(shapes),
                     "listed": len(shown),
                     "marked_total": str(marked_total),
                     "single_tail_family": None if single_tail is None else str(single_tail),
@@ -391,15 +385,14 @@ def _cmd_strata(args: argparse.Namespace) -> int:
                 sc.kind,
                 str(sc.e),
                 str(sc.k),
-                str(r.dim),
-                str(r.bound),
-                "yes" if r.survivor else "no",
+                str(sc.dim),
+                str(sc.bound),
+                "yes" if sc.survivor else "no",
                 str(sc.multiplicity),
                 sc.shape.canonical_key,
-                r.note or "-",
+                sc.note or "-",
             ]
-            for r in shown
-            for sc in (r.shape_class,)
+            for sc in shown
         ]
         if cells:
             widths = [
@@ -409,7 +402,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
             print("  ".join(cols[i].ljust(widths[i]) for i in range(len(cols))).rstrip())
             for row in cells:
                 print("  ".join(row[i].ljust(widths[i]) for i in range(len(cols))).rstrip())
-        print(f"classes: {len(rows)} (listed: {len(shown)})")
+        print(f"classes: {len(shapes)} (listed: {len(shown)})")
         print(f"marked total: {marked_total}")
         if single_tail is not None:
             print(
@@ -494,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else 2
+        # argparse 3.11 drops the '--' of '--opt=--', leaving []: the value is literal.
+        for dest in [dest for dest, value in vars(args).items() if value == []]:
+            setattr(args, dest, "--")
     try:
         return _COMMANDS[args.command](args)
     except CacheError as exc:

@@ -240,10 +240,6 @@ class DistinguishedTree(_MarkedGraph):
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("parallel edges are not allowed in a tree")
 
-    @property
-    def distinguished_weight(self) -> int:
-        return self.e
-
     @cached_property
     def _key_plan(self):
         return _key_plan(_adjacency(self.n_vertices, self.edges), (0,))
@@ -315,11 +311,6 @@ class CircuitGraph(_MarkedGraph):
     @property
     def core(self) -> tuple[int, ...]:
         return self.circuit
-
-    @property
-    def circuit_weight(self) -> int:
-        """Sum of the weights on the circuit (e in the dimension formulas)."""
-        return self.e
 
     @cached_property
     def _key_plan(self):

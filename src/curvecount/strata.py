@@ -11,6 +11,8 @@ conditions).
 Enumeration goes by skeleton, the weighted graph before legs are placed:
 each is validated once, its exact class count feeds the guard, its verdict
 is found once, and each listed shape is built from it without re-validation.
+Every listed class is one ``ShapeClass`` record carrying its shape, its
+multiplicity and that verdict, which is all a row of the listing needs.
 
 Dimension conventions, with e the weight of the graph's core (the
 distinguished vertex of a tree, the circuit of a circuit graph) and k one
@@ -27,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import CircuitGraph, DistinguishedTree
 
@@ -37,7 +39,6 @@ __all__ = [
     "POSITIVE_PARTITION_NOTE",
     "ResourceGuardError",
     "ShapeClass",
-    "ClassifiedStratum",
     "is_stable",
     "dimension",
     "deformation_bound",
@@ -113,18 +114,24 @@ def _bound_from(g: Shape, d: int, dim: int | None) -> int | None:
 
 @dataclass(frozen=True, slots=True)
 class ShapeClass:
-    """One isomorphism class of shapes plus how many marked classes it covers.
+    """One isomorphism class of shapes, how many marked classes it covers,
+    and its stratum's verdict.
 
     In collapsed mode the shape carries leg counts and multiplicity is the
     number of full marked classes with that leg profile (up to symmetry);
     in full mode the shape carries leg labels and multiplicity is 1.
-    ``_verdict`` is the ``(dim, bound, survivor, note)`` that
-    ``enumerate_shapes`` works out once per skeleton, or None.
+    ``dim``, ``bound``, ``survivor`` and ``note`` are the stratum dimension,
+    the bound after deformation, whether that bound reaches
+    ``survivor_threshold(d)``, and the positive-partition note or None
+    (see ``classify``).
     """
 
     shape: Shape
     multiplicity: int
-    _verdict: tuple | None = field(default=None, compare=False, repr=False)
+    dim: int | None
+    bound: int | None
+    survivor: bool
+    note: str | None
 
     @property
     def kind(self) -> str:
@@ -137,17 +144,6 @@ class ShapeClass:
     @property
     def k(self) -> int:
         return self.shape.k
-
-
-@dataclass(frozen=True, slots=True)
-class ClassifiedStratum:
-    """A shape class with its dimension data and survivor verdict."""
-
-    shape_class: ShapeClass
-    dim: int | None
-    bound: int | None
-    survivor: bool
-    note: str | None
 
 
 def _compositions(total: int, parts: int):
@@ -281,14 +277,24 @@ def _marked_count(autos, req, legs_total: int) -> int:
     return fixed // len(autos)
 
 
-def _profile_orbits(skel: Shape, autos, req, legs_total: int):
-    """Yield (profile, multiplicity) per orbit of valid leg-count profiles.
-
-    The multiplicity counts full marked classes: multinomial(legs; p)
+def _orbit_multiplicity(autos, profile, legs_total: int) -> int:
+    """Full marked classes with leg-count profile p: multinomial(legs; p)
     times |pointwise stabilizer of p's support| over |stabilizer of p|,
     which is exact because every orbit of assignments with profile p under
-    the profile stabilizer has that same uniform size.  On a rigid skeleton
-    every profile is its own orbit, with the multinomial as multiplicity.
+    the profile stabilizer has that same uniform size."""
+    stab = [sigma for sigma in autos if _apply(sigma, profile) == profile]
+    support = [v for v, count in enumerate(profile) if count]
+    pointwise = [sigma for sigma in stab if all(sigma[v] == v for v in support)]
+    mult, rem = divmod(_multinomial(legs_total, profile) * len(pointwise), len(stab))
+    if rem:
+        raise AssertionError("orbit count came out fractional; formula misapplied")
+    return mult
+
+
+def _profile_orbits(skel: Shape, autos, req, legs_total: int):
+    """Yield (profile, multiplicity) per orbit of valid leg-count profiles,
+    the multiplicity from ``_orbit_multiplicity``.  On a rigid skeleton every
+    profile is its own orbit, with the multinomial as multiplicity.
     """
     free = legs_total - sum(req)
     if free < 0:
@@ -304,13 +310,7 @@ def _profile_orbits(skel: Shape, autos, req, legs_total: int):
         if canon in seen:
             continue
         seen.add(canon)
-        stab = [sigma for sigma in autos if _apply(sigma, canon) == canon]
-        support = [v for v in range(n) if canon[v] > 0]
-        pointwise = [sigma for sigma in stab if all(sigma[v] == v for v in support)]
-        mult, rem = divmod(_multinomial(legs_total, canon) * len(pointwise), len(stab))
-        if rem:
-            raise AssertionError("orbit count came out fractional; formula misapplied")
-        yield canon, mult
+        yield canon, _orbit_multiplicity(autos, canon, legs_total)
 
 
 def _label_sets(legs: tuple[int, ...], profile):
@@ -393,12 +393,12 @@ def enumerate_shapes(
         verdict = _verdict(skel, d, _dimension(skel, d))
         if collapsed:
             out.extend(
-                ShapeClass(skel._with_legs(profile), mult, verdict)
+                ShapeClass(skel._with_legs(profile), mult, *verdict)
                 for profile, mult in _profile_orbits(skel, autos, req, legs_total)
             )
         else:
             out.extend(
-                ShapeClass(g, 1, verdict) for g in _labelled_classes(skel, autos, req, legs_total)
+                ShapeClass(g, 1, *verdict) for g in _labelled_classes(skel, autos, req, legs_total)
             )
     out.sort(key=lambda sc: (sc.kind, sc.shape.canonical_key))
     return out
@@ -419,20 +419,23 @@ def _verdict(g: Shape, d: int, dim: int | None) -> tuple:
     return dim, bound, bound is not None and bound >= survivor_threshold(d), note
 
 
-def classify(shape_class: ShapeClass, d: int) -> ClassifiedStratum:
-    """Dimension data and survivor verdict of one shape class.
+def classify(shape: Shape, d: int) -> ShapeClass:
+    """The ``ShapeClass`` of one stable shape of total weight d.
 
     A stratum survives iff it is nonempty and its deformation bound is at
     least ``survivor_threshold(d)``.  Trees with e = 0, k = 2 and both
     weights positive survive the count but are flagged: such unions of two
-    positive-degree curves are avoided geometrically.  Classes listed by
-    ``enumerate_shapes`` carry their skeleton's verdict; others are checked.
+    positive-degree curves are avoided geometrically.  A shape with leg
+    labels covers one marked class; one with leg counts covers its profile's
+    orbit multiplicity, found from the brute-force skeleton automorphisms.
+    Raises ValueError for an unstable shape or a wrong d.
     """
-    verdict = shape_class._verdict
-    shape = shape_class.shape
-    if verdict is None or d != shape.total_weight:
-        verdict = _verdict(shape, d, dimension(shape, d))
-    return ClassifiedStratum(shape_class, *verdict)
+    verdict = _verdict(shape, d, dimension(shape, d))
+    mult = 1
+    if shape.leg_labels is None:
+        autos = shape.skeleton_automorphisms()
+        mult = _orbit_multiplicity(autos, shape.leg_counts, shape.marking_count)
+    return ShapeClass(shape, mult, *verdict)
 
 
 def classify_survivors(
@@ -440,13 +443,12 @@ def classify_survivors(
     max_extra_vertices: int,
     include_circuits: bool = True,
     ceiling: int = DEFAULT_CLASS_CEILING,
-) -> list[ClassifiedStratum]:
-    """Classify every collapsed shape class (see ``classify``)."""
-    shapes = enumerate_shapes(
+) -> list[ShapeClass]:
+    """Every collapsed shape class with its verdict (see ``classify``)."""
+    return enumerate_shapes(
         d,
         max_extra_vertices,
         collapsed=True,
         include_circuits=include_circuits,
         ceiling=ceiling,
     )
-    return [classify(sc, d) for sc in shapes]

@@ -69,7 +69,7 @@ class TestTreeBasics:
         t = DistinguishedTree((1, 2, 0), ((0, 1), (1, 2)), (1, 0, 3))
         assert t.n_vertices == 3
         assert t.k == 2
-        assert t.distinguished_weight == 1
+        assert t.e == 1
         assert t.total_weight == 3
         assert t.marking_count == 4
         assert t.valence(0) == 2
@@ -167,7 +167,7 @@ class TestCircuitStructure:
     def test_double_edge_circuit(self):
         g = CircuitGraph((1, 1), ((0, 1), (0, 1)), (0, 0))
         assert sorted(g.circuit) == [0, 1]
-        assert g.circuit_weight == 2
+        assert g.e == 2
 
     def test_triangle_circuit(self):
         g = CircuitGraph((1, 1, 0), ((0, 1), (1, 2), (0, 2)), (0, 0, 1))
@@ -176,11 +176,11 @@ class TestCircuitStructure:
     def test_hanging_vertex_excluded_from_circuit(self):
         g = CircuitGraph((1, 1, 2), ((0, 1), (0, 1), (1, 2)), (0, 0, 0))
         assert sorted(g.circuit) == [0, 1]
-        assert g.circuit_weight == 2
+        assert g.e == 2
 
     def test_circuit_weight_sums_circuit_vertices_only(self):
         g = CircuitGraph((2, 1, 3), ((0, 1), (0, 1), (1, 2)), (0, 0, 0))
-        assert g.circuit_weight == 3
+        assert g.e == 3
 
 
 class TestCircuitCanonicalForm:

@@ -33,3 +33,16 @@ def test_survivor_scan_header_prints_threshold():
     lines = proc.stdout.splitlines()
     assert lines[0] == "degree 3, up to 1 extra vertices"
     assert "survival threshold: bound >= 16" in lines
+
+
+def test_survivor_scan_summary_with_circuits():
+    proc = run_script("survivor_scan.py", "--d", "3", "--max-extra", "3", "--include-circuits")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for line in (
+        "classes scanned: 7029",
+        "survivors: 136",
+        "flagged as geometrically avoided: 135",
+        "unconditional survivors: 1",
+    ):
+        assert line in lines

@@ -7,7 +7,6 @@ from curvecount.strata import (
     DEFAULT_CLASS_CEILING,
     POSITIVE_PARTITION_NOTE,
     ResourceGuardError,
-    ShapeClass,
     _dimension,
     _marked_count,
     _min_legs,
@@ -92,6 +91,15 @@ class TestDimension:
         t = _tree([3, 0], [(0, 1)], [8, 0])
         with pytest.raises(ValueError):
             dimension(t, 3)
+
+    def test_classify_rejects_unstable_shape(self):
+        for shape in (
+            _tree([3, 0], [(0, 1)], [8, 0]),
+            _circuit([2, 0, 1], [(0, 1), (0, 2), (1, 2)], [7, 0, 1]),
+        ):
+            assert not is_stable(shape)
+            with pytest.raises(ValueError):
+                classify(shape, 3)
 
     def test_rejects_weight_sum_mismatch(self):
         with pytest.raises(ValueError):
@@ -226,7 +234,7 @@ class TestEnumerateCircuits:
     def test_circuit_weight_one_never_appears(self):
         for c in enumerate_shapes(4, 2, include_circuits=True):
             if c.kind == "circuit":
-                assert c.shape.circuit_weight != 1
+                assert c.shape.e != 1
 
 
 class TestGuards:
@@ -289,21 +297,21 @@ class TestSurvivors:
             _tree([1, 2], [(0, 1)], [4, 4]),
             _circuit([1, 0, 2], [(0, 1), (0, 1), (1, 2)], [4, 1, 3]),
         ):
-            c = classify(ShapeClass(shape, 1), 3)
+            c = classify(shape, 3)
             assert (c.dim, c.bound, c.survivor, c.note) == (None, None, False, None)
     def test_degree_three_catalogue(self):
         strata = classify_survivors(3, 3)
         survivors = [s for s in strata if s.survivor]
         assert len(survivors) == 136
-        trivial = [s for s in survivors if s.shape_class.k == 0]
+        trivial = [s for s in survivors if s.k == 0]
         assert len(trivial) == 1
         assert trivial[0].note is None
         flagged = [s for s in survivors if s.note == POSITIVE_PARTITION_NOTE]
         assert len(flagged) == 135
         for s in flagged:
-            assert s.shape_class.e == 0
-            assert s.shape_class.k == 2
-            assert all(w > 0 for w in s.shape_class.shape.weights[1:])
+            assert s.e == 0
+            assert s.k == 2
+            assert all(w > 0 for w in s.shape.weights[1:])
 
     def test_flagged_survivor_skeletons(self):
         strata = classify_survivors(3, 3)
@@ -311,14 +319,14 @@ class TestSurvivors:
         marked_by_skel = {}
         for s in strata:
             if s.note == POSITIVE_PARTITION_NOTE:
-                shape = s.shape_class.shape
+                shape = s.shape
                 bare = DistinguishedTree(
                     shape.weights, shape.edges, (0,) * shape.n_vertices
                 )
                 key = bare.canonical_key
                 classes_by_skel[key] = classes_by_skel.get(key, 0) + 1
                 marked_by_skel[key] = (
-                    marked_by_skel.get(key, 0) + s.shape_class.multiplicity
+                    marked_by_skel.get(key, 0) + s.multiplicity
                 )
         # Three skeleton families: star with tails {1,2} and the two
         # orderings of the path through weight 1 and weight 2.  Each is
@@ -333,8 +341,7 @@ class TestSurvivors:
         strata = classify_survivors(3, 3)
         seen = 0
         for s in strata:
-            sc = s.shape_class
-            if sc.kind == "tree" and sc.e == 0 and sc.k == 1:
+            if s.kind == "tree" and s.e == 0 and s.k == 1:
                 seen += 1
                 assert s.dim == 17
                 assert s.bound == 15
@@ -346,7 +353,7 @@ class TestSurvivors:
         threshold = 6 * 4 - 2
         for s in strata:
             if s.survivor:
-                ok_trivial = s.shape_class.k == 0
+                ok_trivial = s.k == 0
                 ok_flagged = s.note == POSITIVE_PARTITION_NOTE
                 assert ok_trivial or ok_flagged
             elif s.dim is not None:
@@ -423,11 +430,8 @@ class TestRebuild:
             assert g == rebuilt
             assert g.canonical_key == rebuilt.canonical_key
             assert (g.e, g.k, g.kind) == (rebuilt.e, rebuilt.k, rebuilt.kind)
-            ours = classify(sc, d)
-            fresh = classify(ShapeClass(rebuilt, sc.multiplicity), d)
-            assert (ours.dim, ours.bound, ours.survivor, ours.note) == (
-                fresh.dim, fresh.bound, fresh.survivor, fresh.note
-            )
+            # The whole record: shape, multiplicity, dim, bound, survivor, note.
+            assert classify(rebuilt, d) == sc
 
     def test_full_trees(self, full_3_2):
         self._check(full_3_2, 3)
@@ -440,7 +444,7 @@ class TestRebuild:
     def test_listed_class_with_wrong_degree_still_refused(self):
         sc = enumerate_shapes(3, 0)[0]
         with pytest.raises(ValueError):
-            classify(sc, 4)
+            classify(sc.shape, 4)
 
 
 def _in_survivor_family(g):
@@ -456,7 +460,7 @@ class TestSurvivorFamilies:
         strata = classify_survivors(d, 3, include_circuits=True)
         assert sum(s.survivor for s in strata) == survivors
         for s in strata:
-            assert s.survivor == _in_survivor_family(s.shape_class.shape)
+            assert s.survivor == _in_survivor_family(s.shape)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_skeleton_verdicts_are_the_two_families(self, d):
