@@ -27,7 +27,6 @@ Grammar of the canonical strings (stable; also used by the CLI):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,15 +115,39 @@ def _apply_perm(perm, weights, edges, leg_counts, leg_labels):
 
 def _skeleton_automorphisms(g) -> tuple[tuple[int, ...], ...]:
     """The permutations fixing g's distinguished vertices that preserve its
-    weights and edge multiset."""
+    weights and edge multiset, in increasing order.
+
+    Vertices are mapped one at a time, each only inside its (weight, edge
+    degree) class, and a partial map is dropped as soon as the edge
+    multiplicity between two mapped vertices changes, so a rigid shape costs
+    little however many vertices it has, where trying every permutation
+    costs (n - |distinguished|)!.  A shape whose group is itself
+    factorial-sized (a star of equal-weight leaves) still lists that whole
+    group.
+    """
     n = g.n_vertices
-    fixed = g.distinguished
-    return tuple(
-        perm
-        for perm in (fixed + tail for tail in itertools.permutations(range(len(fixed), n)))
-        if all(g.weights[perm[i]] == g.weights[i] for i in range(n))
-        and _normalized_edges((perm[a], perm[b]) for a, b in g.edges) == g.edges
-    )
+    mult = [[0] * n for _ in range(n)]
+    for a, b in g.edges:
+        mult[a][b] += 1
+        mult[b][a] += 1
+    sig = [(g.weights[v], sum(mult[v])) for v in range(n)]
+    perm = list(g.distinguished)
+    classes = [[v for v in range(len(perm), n) if sig[v] == sig[i]] for i in range(n)]
+    found = []
+
+    def extend(i: int) -> None:
+        if i == n:
+            found.append(tuple(perm))
+            return
+        row = mult[i]
+        for v in classes[i]:
+            if v not in perm and all(row[j] == mult[v][perm[j]] for j in range(i)):
+                perm.append(v)
+                extend(i + 1)
+                perm.pop()
+
+    extend(len(perm))
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -253,8 +276,7 @@ class DistinguishedTree(_MarkedGraph):
         """All vertex permutations fixing 0 that preserve weights and edges.
 
         Legs are ignored: these are the symmetries acting on leg-count
-        profiles.  Brute force is fine at the supported sizes (at most 5
-        vertices).
+        profiles.
         """
         return _skeleton_automorphisms(self)
 

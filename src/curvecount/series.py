@@ -10,14 +10,20 @@ with no base point at infinity, the relation holds iff the vanishing
 sequence at infinity is {0, >=2, *}; that equivalence is the tested
 contract of ``root_sum_criterion``.
 
-Everything is fractions.Fraction; vanishing orders are discrete and one
-rounded pivot would corrupt them, so no floats appear anywhere.
+Coefficients are fractions.Fraction at the edges: parsing, ``PolySeries``,
+the constant K and ``translate``'s result.  Vanishing orders and the rank
+check work on integer rows instead: each row is multiplied by the lcm of
+its denominators, a finite point p/q is reached by one integer Taylor
+shift of q^d * f(p/q + y/q), and the echelon form is fraction-free.  None
+of these scalings moves a pivot column.  Vanishing orders are discrete
+and one rounded pivot would corrupt them, so no floats appear anywhere.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,21 +115,56 @@ class RootSumRelation:
     degenerate: bool = False
 
 
-def _echelon_pivots(rows: list[list[Fraction]]) -> list[int]:
-    """Pivot columns of the row space, in increasing order."""
-    mat = [list(r) for r in rows]
+def _integer_row(row) -> tuple[int, list[int]]:
+    """(m, m*row) for m the lcm of the row's denominators: an integer row
+    spanning the same line."""
+    m = math.lcm(*[x.denominator for x in row])
+    return m, [x.numerator * (m // x.denominator) for x in row]
+
+
+def _shifted(coeffs: list[int], p: int, q: int) -> list[int]:
+    """Coefficients of q^d * f(p/q + y/q), in y, for an integer row f of degree d.
+
+    Coefficient j is q^(d-j) times the t^j coefficient of f(p/q + t): each
+    column of the Taylor shift is scaled by a nonzero integer.  Scaling
+    b_i = a_i * q^(d-i) turns the shift into an integer one by p (Horner).
+    """
+    b = list(coeffs)
+    if q != 1:
+        power = 1
+        for i in range(len(b) - 1, -1, -1):
+            b[i] *= power
+            power *= q
+    if p:
+        d = len(b) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                b[j] += p * b[j + 1]
+    return b
+
+
+def _echelon_pivots(mat: list[list[int]]) -> list[int]:
+    """Pivot columns of the integer rows' row space, in increasing order.
+
+    Fraction-free: a row is cleared against the pivot row by integer
+    cross-multiplication, and scaling a row by a nonzero integer leaves its
+    pivot columns unchanged.  ``mat`` is reduced in place.
+    """
     pivots: list[int] = []
     top = 0
     for col in range(len(mat[0])):
-        pivot_row = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        pivot_row = next((r for r in range(top, len(mat)) if mat[r][col]), None)
         if pivot_row is None:
             continue
         mat[top], mat[pivot_row] = mat[pivot_row], mat[top]
-        lead = mat[top][col]
+        head = mat[top]
+        lead = head[col]
         for r in range(top + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / lead
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[top])]
+            m = mat[r][col]
+            if m:
+                g = math.gcd(lead, m)
+                a, b = lead // g, m // g
+                mat[r] = [a * x - b * y for x, y in zip(mat[r], head)]
         pivots.append(col)
         top += 1
         if top == len(mat):
@@ -131,23 +172,11 @@ def _echelon_pivots(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def _require_rank3(series: PolySeries) -> None:
-    if len(_echelon_pivots([list(r) for r in series.basis])) < 3:
+def _require_rank3(rows: list[list[int]]) -> None:
+    """Raise unless the integer rows have rank 3; the row lists themselves
+    are left as they were."""
+    if len(_echelon_pivots(list(rows))) < 3:
         raise RankDeficientError("basis rows are linearly dependent; rank < 3")
-
-
-def _shifted(coeffs, c: Fraction) -> list[Fraction]:
-    """Coefficients of f(x + c) given those of f."""
-    d = len(coeffs) - 1
-    out = [Fraction(0)] * (d + 1)
-    for i, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        power = Fraction(1)
-        for j in range(i, -1, -1):
-            out[j] += a * math.comb(i, j) * power
-            power *= c
-    return out
 
 
 def vanishing_sequence(
@@ -160,13 +189,14 @@ def vanishing_sequence(
     there first.  The pivot columns of the echelon form are exactly the
     orders achieved by the net.
     """
+    rows = [_integer_row(row)[1] for row in series.basis]
     if at_infinity:
-        rows = [list(reversed(row)) for row in series.basis]
+        rows = [row[::-1] for row in rows]
     else:
         if point is None:
             raise ValueError("a finite point is required when at_infinity is false")
         c = _rational(point, "point")
-        rows = [_shifted(row, c) for row in series.basis]
+        rows = [_shifted(row, c.numerator, c.denominator) for row in rows]
     pivots = _echelon_pivots(rows)
     if len(pivots) < 3:
         raise RankDeficientError("basis rows are linearly dependent; rank < 3")
@@ -184,20 +214,23 @@ def root_sum(coeffs) -> Fraction | None:
 def root_sum_relation(series: PolySeries) -> RootSumRelation | None:
     """The shared K with b_{d-1} + K*b_d = 0 on the net, if one exists.
 
-    Linearity makes checking the three basis rows sufficient.  Returns
-    None when no single K works; returns the degenerate marker when both
-    top coefficients vanish identically on the net.
+    Linearity makes checking the three basis rows sufficient, and scaling
+    a row does not change whether it satisfies the relation, so the check
+    runs on the integer rows: K = -sub0/lead0 fits row i exactly when
+    sub_i*lead0 == sub0*lead_i.  Returns None when no single K works;
+    returns the degenerate marker when both top coefficients vanish
+    identically on the net.
     """
-    _require_rank3(series)
-    tops = [(row[-2], row[-1]) for row in series.basis]
+    rows = [_integer_row(row)[1] for row in series.basis]
+    _require_rank3(rows)
+    tops = [(row[-2], row[-1]) for row in rows]
     if all(lead == 0 for _, lead in tops):
         if all(sub == 0 for sub, _ in tops):
             return RootSumRelation(Fraction(0), degenerate=True)
         return None
     sub0, lead0 = next(t for t in tops if t[1] != 0)
-    k = -Fraction(sub0) / Fraction(lead0)
-    if all(sub + k * lead == 0 for sub, lead in tops):
-        return RootSumRelation(k, degenerate=False)
+    if all(sub * lead0 == sub0 * lead for sub, lead in tops):
+        return RootSumRelation(Fraction(-sub0, lead0), degenerate=False)
     return None
 
 
@@ -218,9 +251,13 @@ def translate(series: PolySeries, shift: Fraction | int | str) -> PolySeries:
     K - d*shift because every root moves by -shift.
     """
     c = _rational(shift, "shift")
-    return PolySeries(
-        series.degree, tuple(tuple(_shifted(row, c)) for row in series.basis)
-    )
+    q, d = c.denominator, series.degree
+    rows = []
+    for row in series.basis:
+        m, ints = _integer_row(row)
+        g = _shifted(ints, c.numerator, q)
+        rows.append(tuple(Fraction(g_j, m * q ** (d - j)) for j, g_j in enumerate(g)))
+    return PolySeries(d, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +265,21 @@ def translate(series: PolySeries, shift: Fraction | int | str) -> PolySeries:
 # every coefficient an exact rational string like "5", "-3/7".
 
 
+# ASCII only: Fraction's own reader also takes "1_000" and any Unicode digit.
+_LITERAL = re.compile(
+    r"\s*(?:(?P<num>[-+]?[0-9]+)(?:/(?P<den>[0-9]+))?"
+    r"|(?=[-+]?\.?[0-9])(?P<whole>[-+]?[0-9]*)\.(?P<frac>[0-9]*))\s*",
+    re.ASCII,
+)
+
+
 def parse_rational(text, where: str) -> Fraction:
     """The exact rational an integer, p/q or plain decimal literal names.
 
-    Exponent notation is refused: a literal such as "1e2000000" is a few
-    bytes long but expands to an integer of millions of digits.  Every
-    failure is a SeriesFormatError whose message starts with ``where``.
+    Digits are ASCII; surrounding ASCII whitespace is ignored.  Exponent
+    notation is refused: a literal such as "1e2000000" is a few bytes long
+    but expands to an integer of millions of digits.  Every failure is a
+    SeriesFormatError whose message starts with ``where``.
     """
     if not isinstance(text, str):
         raise SeriesFormatError(f"{where}: expected a rational string, got {text!r}")
@@ -241,8 +287,14 @@ def parse_rational(text, where: str) -> Fraction:
         raise SeriesFormatError(
             f"{where} expects an exact rational (exponent notation is not accepted), got {text!r}"
         )
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        raise SeriesFormatError(f"{where} expects an exact rational, got {text!r}")
     try:
-        return Fraction(text)
+        if match["num"] is not None:
+            return Fraction(int(match["num"]), int(match["den"] or 1))
+        frac = match["frac"]
+        return Fraction(int(match["whole"] + frac), 10 ** len(frac))
     except ZeroDivisionError:
         raise SeriesFormatError(f"{where}: zero denominator in {text!r}") from None
     except ValueError:

@@ -344,6 +344,12 @@ class TestSeries:
         assert rc == 2
         assert err == "error: --at expects an exact rational, got 'x'\n"
 
+    def test_non_ascii_digit_point_refused(self, capsys, net_path):
+        # Fraction's own reader takes any Unicode digit: it reads this as 1/2.
+        rc, out, err = run(capsys, ["series", net_path, "--at", "\u0661/2"])
+        assert (rc, out) == (2, "")
+        assert err == "error: --at expects an exact rational, got '\u0661/2'\n"
+
     def test_exponent_literal_refused_at_once(self, capsys, net_path, tmp_path):
         rc, out, err = run(capsys, ["series", net_path, "--at", "1e2000000"])
         assert (rc, out) == (2, "")

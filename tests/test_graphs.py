@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecount.graphs import CircuitGraph, DistinguishedTree
+from curvecount.graphs import CircuitGraph, DistinguishedTree, _normalized_edges
+from curvecount.strata import _skeletons
 
 
 def _random_tree(rng, n):
@@ -232,3 +234,37 @@ class TestCircuitAutomorphisms:
     def test_weights_break_symmetry(self):
         g = CircuitGraph((1, 2, 3), ((0, 1), (1, 2), (0, 2)), (0, 0, 0))
         assert len(g.skeleton_automorphisms()) == 1
+
+
+def _brute_force_automorphisms(g):
+    """Every permutation fixing the distinguished vertices, kept when it
+    preserves the weights and the edge multiset."""
+    n, fixed = g.n_vertices, g.distinguished
+    return tuple(
+        perm
+        for perm in (fixed + tail for tail in itertools.permutations(range(len(fixed), n)))
+        if all(g.weights[perm[i]] == g.weights[i] for i in range(n))
+        and _normalized_edges((perm[a], perm[b]) for a, b in g.edges) == g.edges
+    )
+
+
+class TestAutomorphismSearch:
+    def test_matches_brute_force_on_every_small_skeleton(self):
+        skeletons = list(_skeletons(4, 3, True))
+        assert {g.kind for g in skeletons} == {"tree", "circuit"}
+        for g in skeletons:
+            assert g.skeleton_automorphisms() == _brute_force_automorphisms(g)
+
+    def test_ten_vertex_tree_with_distinct_weights_is_rigid(self):
+        # A star and a path hanging off the root: trying all 9! permutations
+        # of the non-root vertices took seconds.
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
+        t = DistinguishedTree((0, *range(1, 10)), edges, (0,) * 10)
+        start = time.perf_counter()
+        assert t.skeleton_automorphisms() == (tuple(range(10)),)
+        assert time.perf_counter() - start < 0.1
+
+    def test_equal_weight_star_keeps_its_whole_group(self):
+        t = DistinguishedTree((0, 1, 1, 1, 1), [(0, 1), (0, 2), (0, 3), (0, 4)], (0,) * 5)
+        perms = t.skeleton_automorphisms()
+        assert perms == tuple((0, *p) for p in itertools.permutations((1, 2, 3, 4)))

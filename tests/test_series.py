@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from curvecount.series import (
     PolySeries,
     RankDeficientError,
+    RootSumRelation,
     SeriesFormatError,
     VanishingSequence,
     root_sum,
@@ -274,6 +276,35 @@ class TestJson:
             (Fraction(1), Fraction(-3, 2)),
         )
 
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "1_000",  # Fraction's reader takes underscore groups: 1000
+            "\u0663",  # an Arabic-Indic digit: Fraction reads 3
+            "1/0_1",  # Fraction reads 1
+            "\u0661/2",
+            "\u00a01",  # non-ASCII whitespace
+            ".",
+            "1/-2",
+            "1.5/2",
+            "",
+        ],
+    )
+    def test_rejects_literal_outside_the_grammar(self, literal):
+        payload = json.dumps({"degree": 1, "basis": [["1", "0"], ["0", literal], ["1", "1"]]})
+        with pytest.raises(SeriesFormatError) as err:
+            series_from_json(payload)
+        assert str(err.value) == f"basis[1][1] expects an exact rational, got {literal!r}"
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("+3", 3), (".5", Fraction(1, 2)), ("5.", 5), ("-.25", Fraction(-1, 4)),
+         ("007", 7), ("-0/9", 0), ("\t-3/7\n", Fraction(-3, 7))],
+    )
+    def test_reads_every_spelling_of_the_grammar(self, literal, value):
+        payload = json.dumps({"degree": 1, "basis": [["1", "0"], ["0", literal], ["1", "1"]]})
+        assert series_from_json(payload).basis[1][1] == value
+
     def test_rejects_invalid_json(self):
         with pytest.raises(SeriesFormatError):
             series_from_json("{not json")
@@ -297,6 +328,12 @@ class TestLibraryLiterals:
         with pytest.raises(SeriesFormatError, match="exponent notation is not accepted"):
             LITERAL_ENTRY_POINTS[entry]("1e300000")
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("entry", LITERAL_ENTRY_POINTS)
+    @pytest.mark.parametrize("literal", ["1_000", "\u0663", "1/0_1", "\u00a01"])
+    def test_non_ascii_or_underscore_literal_refused(self, entry, literal):
+        with pytest.raises(SeriesFormatError, match="expects an exact rational, got"):
+            LITERAL_ENTRY_POINTS[entry](literal)
 
     @pytest.mark.parametrize("entry", LITERAL_ENTRY_POINTS)
     def test_fraction_literal_still_read(self, entry):
@@ -394,3 +431,129 @@ class TestProperties:
         if seq.a0 != 0:
             return
         assert root_sum_criterion(series) == (seq.a1 >= 2)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the integer path: the Fraction shift and echelon the library
+# used before it cleared denominators, kept here as an independent check.
+
+
+def _fraction_shifted(coeffs, c):
+    """Coefficients of f(x + c) given those of f, in Fractions."""
+    d = len(coeffs) - 1
+    out = [Fraction(0)] * (d + 1)
+    for i, a in enumerate(coeffs):
+        if a == 0:
+            continue
+        power = Fraction(1)
+        for j in range(i, -1, -1):
+            out[j] += a * math.comb(i, j) * power
+            power *= c
+    return out
+
+
+def _fraction_pivots(rows):
+    """Pivot columns of the row space, by Fraction elimination."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    top = 0
+    for col in range(len(mat[0])):
+        pivot_row = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[top], mat[pivot_row] = mat[pivot_row], mat[top]
+        for r in range(top + 1, len(mat)):
+            factor = mat[r][col] / mat[top][col]
+            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+        top += 1
+        if top == len(mat):
+            break
+    return pivots
+
+
+def _reference_orders(series, point):
+    if point is None:
+        rows = [list(reversed(row)) for row in series.basis]
+    else:
+        rows = [_fraction_shifted(row, point) for row in series.basis]
+    pivots = _fraction_pivots(rows)
+    return tuple(pivots) if len(pivots) == 3 else RankDeficientError
+
+
+def _reference_relation(series):
+    """The root-sum relation by Fraction arithmetic on the rational rows."""
+    if len(_fraction_pivots(series.basis)) < 3:
+        return RankDeficientError
+    tops = [(row[-2], row[-1]) for row in series.basis]
+    if all(lead == 0 for _, lead in tops):
+        return RootSumRelation(Fraction(0), degenerate=True) if all(
+            sub == 0 for sub, _ in tops) else None
+    sub0, lead0 = next(t for t in tops if t[1] != 0)
+    k = -sub0 / lead0
+    return RootSumRelation(k) if all(sub + k * lead == 0 for sub, lead in tops) else None
+
+
+def _orders(series, point):
+    try:
+        return vanishing_sequence(series, at_infinity=point is None, point=point).orders
+    except RankDeficientError:
+        return RankDeficientError
+
+
+_wide_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 50))
+
+
+def _times_power(row, c, m):
+    """Coefficients of row(x) * (x - c)^m."""
+    for _ in range(m):
+        row = [(row[i - 1] if i else 0) - (c * row[i] if i < len(row) else 0)
+               for i in range(len(row) + 1)]
+    return row
+
+
+@st.composite
+def _oracle_nets(draw):
+    """A net of degree <= 12 and a point c: each row vanishes to a drawn
+    order at c and at infinity, and the third row is sometimes a
+    combination of the first two."""
+    d = draw(st.integers(1, 12))
+    c = draw(_wide_rationals)
+    rows = []
+    for _ in range(3):
+        at_c = draw(st.integers(0, d))
+        at_inf = draw(st.integers(0, d - at_c))
+        base = [draw(_wide_rationals) for _ in range(d - at_c - at_inf + 1)]
+        rows.append(_times_power(base, c, at_c) + [Fraction(0)] * at_inf)
+    if draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return PolySeries(d, tuple(map(tuple, rows))), c
+
+
+class TestIntegerPathOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_nets(), _wide_rationals)
+    def test_orders_match_fraction_elimination(self, net, other):
+        series, c = net
+        for point in (None, c, other, -other):
+            assert _orders(series, point) == _reference_orders(series, point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_oracle_nets())
+    def test_root_sum_relation_matches_fraction_reference(self, net):
+        series, _ = net
+        try:
+            relation = root_sum_relation(series)
+        except RankDeficientError:
+            relation = RankDeficientError
+        assert relation == _reference_relation(series)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_oracle_nets(), _wide_rationals)
+    def test_translate_matches_fraction_shift(self, net, other):
+        series, c = net
+        for shift in (c, other, -other, 0):
+            assert translate(series, shift).basis == tuple(
+                tuple(_fraction_shifted(row, Fraction(shift))) for row in series.basis
+            )
