@@ -416,12 +416,9 @@ def _cmd_strata(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     series = series_from_json(text)
-    if args.at is None:
-        at_infinity, point, point_label = True, None, "infinity"
-    else:
-        point = parse_rational(args.at, "--at")
-        at_infinity, point_label = False, str(point)
-    seq = vanishing_sequence(series, at_infinity=at_infinity, point=point)
+    point = None if args.at is None else parse_rational(args.at, "--at")
+    point_label = "infinity" if point is None else str(point)
+    seq = vanishing_sequence(series, point)
     relation = root_sum_relation(series)
     k_text = None if relation is None else str(relation.k)
     degenerate = relation is not None and relation.degenerate

@@ -190,9 +190,9 @@ def elliptic_count(d: int, j: JClass, table: RecursionTable | None = None) -> in
     """
     if d < 3:
         raise ValueError(f"elliptic counts are defined for d >= 3, got {d}")
-    numerator = binomial(d - 1, 2) * rational_count(d, table)
+    numerator = zt_invariant(d, table)
     quot, rem = divmod(numerator, j.aut_factor)
-    if rem != 0 or quot * j.aut_factor != numerator:
+    if rem != 0:
         raise ExactDivisionError(
             f"C({d-1},2)*N_{d} = {numerator} is not divisible by {j.aut_factor}; "
             "the recursion table is corrupt"

@@ -5,10 +5,9 @@ degree d with rational coefficients.  The module computes the net's
 vanishing sequence at any point (infinity included) by exact row
 reduction, and decides the root-sum relation: whether a single constant K
 satisfies beta_{d-1} + K*beta_d = 0 across the whole net, equivalently
-whether all full-degree members share the same sum of roots.  For a net
-with no base point at infinity, the relation holds iff the vanishing
-sequence at infinity is {0, >=2, *}; that equivalence is the tested
-contract of ``root_sum_criterion``.
+whether all full-degree members share the same sum of roots.  The
+relation is read off the echelon form that gives the orders at infinity:
+it holds iff 1 is not an order there.
 
 Coefficients are fractions.Fraction at the edges: parsing, ``PolySeries``,
 the constant K and ``translate``'s result.  Vanishing orders and the rank
@@ -172,35 +171,30 @@ def _echelon_pivots(mat: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _require_rank3(rows: list[list[int]]) -> None:
-    """Raise unless the integer rows have rank 3; the row lists themselves
-    are left as they were."""
-    if len(_echelon_pivots(list(rows))) < 3:
-        raise RankDeficientError("basis rows are linearly dependent; rank < 3")
-
-
-def vanishing_sequence(
-    series: PolySeries, at_infinity: bool = True, point: Fraction | int | str | None = None
-) -> VanishingSequence:
-    """The three orders of vanishing of the net at a point.
-
-    At infinity a polynomial vanishes to order d - deg, so the reversed
-    coefficient rows are reduced; at a finite point the rows are recentred
-    there first.  The pivot columns of the echelon form are exactly the
-    orders achieved by the net.
-    """
+def _rows_at(series: PolySeries, point: Fraction | int | str | None) -> list[list[int]]:
+    """The net's integer rows recentred at ``point``.  None is infinity, where
+    a polynomial vanishes to order d - deg: rows are reversed, column j is b_{d-j}."""
     rows = [_integer_row(row)[1] for row in series.basis]
-    if at_infinity:
-        rows = [row[::-1] for row in rows]
-    else:
-        if point is None:
-            raise ValueError("a finite point is required when at_infinity is false")
-        c = _rational(point, "point")
-        rows = [_shifted(row, c.numerator, c.denominator) for row in rows]
+    if point is None:
+        return [row[::-1] for row in rows]
+    c = _rational(point, "point")
+    return [_shifted(row, c.numerator, c.denominator) for row in rows]
+
+
+def _rank3_pivots(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of ``rows`` (reduced in place); raises unless there are 3."""
     pivots = _echelon_pivots(rows)
     if len(pivots) < 3:
         raise RankDeficientError("basis rows are linearly dependent; rank < 3")
-    return VanishingSequence(tuple(pivots))
+    return pivots
+
+
+def vanishing_sequence(
+    series: PolySeries, point: Fraction | int | str | None = None
+) -> VanishingSequence:
+    """The orders of vanishing of the net at ``point`` (None is infinity): the
+    pivot columns of the echelon form of the recentred rows."""
+    return VanishingSequence(tuple(_rank3_pivots(_rows_at(series, point))))
 
 
 def root_sum(coeffs) -> Fraction | None:
@@ -214,33 +208,25 @@ def root_sum(coeffs) -> Fraction | None:
 def root_sum_relation(series: PolySeries) -> RootSumRelation | None:
     """The shared K with b_{d-1} + K*b_d = 0 on the net, if one exists.
 
-    Linearity makes checking the three basis rows sufficient, and scaling
-    a row does not change whether it satisfies the relation, so the check
-    runs on the integer rows: K = -sub0/lead0 fits row i exactly when
-    sub_i*lead0 == sub0*lead_i.  Returns None when no single K works;
-    returns the degenerate marker when both top coefficients vanish
-    identically on the net.
+    Read off the echelon form at infinity, where column 0 holds b_d and
+    column 1 holds b_{d-1}: the relation holds iff 1 is not an order
+    there.  If 0 is a pivot, its row is never changed by the reduction
+    and K = -row[1]/row[0]; if 0 is not a pivot either, both top
+    coefficients vanish identically and the degenerate marker is
+    returned.  Returns None when no single K works.
     """
-    rows = [_integer_row(row)[1] for row in series.basis]
-    _require_rank3(rows)
-    tops = [(row[-2], row[-1]) for row in rows]
-    if all(lead == 0 for _, lead in tops):
-        if all(sub == 0 for sub, _ in tops):
-            return RootSumRelation(Fraction(0), degenerate=True)
+    rows = _rows_at(series, None)
+    pivots = _rank3_pivots(rows)
+    if 1 in pivots:
         return None
-    sub0, lead0 = next(t for t in tops if t[1] != 0)
-    if all(sub * lead0 == sub0 * lead for sub, lead in tops):
-        return RootSumRelation(Fraction(-sub0, lead0), degenerate=False)
-    return None
+    if pivots[0] != 0:
+        return RootSumRelation(Fraction(0), degenerate=True)
+    return RootSumRelation(Fraction(-rows[0][1], rows[0][0]))
 
 
 def root_sum_criterion(series: PolySeries) -> bool:
-    """Whether the net admits the root-sum constant K.
-
-    Contract (tested, not assumed): on a net with no base point at
-    infinity, this is true iff the vanishing sequence at infinity has
-    second order >= 2.
-    """
+    """Whether the net admits the root-sum constant K: exactly when 1 is
+    not an order of the vanishing sequence at infinity."""
     return root_sum_relation(series) is not None
 
 

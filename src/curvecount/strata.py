@@ -427,7 +427,7 @@ def classify(shape: Shape, d: int) -> ShapeClass:
     weights positive survive the count but are flagged: such unions of two
     positive-degree curves are avoided geometrically.  A shape with leg
     labels covers one marked class; one with leg counts covers its profile's
-    orbit multiplicity, found from the brute-force skeleton automorphisms.
+    orbit multiplicity, found from the skeleton automorphisms.
     Raises ValueError for an unstable shape or a wrong d.
     """
     verdict = _verdict(shape, d, dimension(shape, d))

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -377,10 +379,15 @@ class TestParsing:
         assert rc == 2
 
     def test_module_entry_point(self):
+        # The child imports the same package the tests do, installed or not.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "curvecount", "nd", "--max", "3", "--format", "csv"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "d,N\n1,1\n2,1\n3,12\n"

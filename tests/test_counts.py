@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvecount.counts import (
     CacheError,
+    ExactDivisionError,
     JClass,
     RecursionTable,
     binomial,
@@ -149,8 +150,14 @@ class TestEllipticCount:
 
     def test_rejects_low_degree(self):
         for d in (2, 1, 0):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="elliptic counts are defined for d >= 3"):
                 elliptic_count(d, JClass.GENERIC)
+
+    def test_corrupt_table_raises_exact_division_error(self):
+        # C(2,2) * 13 = 13 is not divisible by the j = 0 factor 3.
+        corrupt = RecursionTable({1: 1, 2: 1, 3: 13})
+        with pytest.raises(ExactDivisionError, match="not divisible by 3"):
+            elliptic_count(3, JClass.J_ZERO, corrupt)
 
     def test_aut_factors(self):
         assert JClass.GENERIC.aut_factor == 1

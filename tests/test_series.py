@@ -83,18 +83,23 @@ class TestVanishingSequence:
     def test_finite_point(self):
         # (x-1)^2, (x-1)^3, 1 all have clean orders at p = 1.
         s = _series(3, [1, -2, 1, 0], [-1, 3, -3, 1], [1, 0, 0, 0])
-        seq = vanishing_sequence(s, at_infinity=False, point=1)
+        seq = vanishing_sequence(s, point=1)
         assert seq.orders == (0, 2, 3)
 
     def test_finite_point_rational(self):
         s = _series(2, [1, 0, 0], ["1/4", -1, 1], ["-1/2", 1, 0])
-        seq = vanishing_sequence(s, at_infinity=False, point=Fraction(1, 2))
+        seq = vanishing_sequence(s, point=Fraction(1, 2))
         assert seq.orders == (0, 1, 2)
 
     def test_rejects_rank_deficient(self):
         s = _series(3, [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0])
         with pytest.raises(RankDeficientError):
             vanishing_sequence(s)
+
+    def test_point_alone_selects_the_finite_point(self):
+        # (1, x, x^3) at 1/2: 1, x - 1/2 and x^3 - 3/4 x + 1/4 = (x - 1/2)^2 (x + 1).
+        assert vanishing_sequence(MONOMIAL_NET, point="1/2").orders == (0, 1, 2)
+        assert vanishing_sequence(MONOMIAL_NET, Fraction(1, 2)).orders == (0, 1, 2)
 
     def test_orders_bounded_by_degree(self):
         seq = vanishing_sequence(MONOMIAL_NET)
@@ -190,7 +195,7 @@ class TestTranslate:
     def test_translation_moves_finite_vanishing_point(self):
         s = _series(3, [1, -2, 1, 0], [-1, 3, -3, 1], [1, 0, 0, 0])
         moved = translate(s, 1)
-        seq = vanishing_sequence(moved, at_infinity=False, point=0)
+        seq = vanishing_sequence(moved, point=0)
         assert seq.orders == (0, 2, 3)
 
 
@@ -312,9 +317,7 @@ class TestJson:
 
 # Every library entry point that takes a rational, called with one value.
 LITERAL_ENTRY_POINTS = {
-    "vanishing_sequence point": lambda x: vanishing_sequence(
-        SHIFTED_CUBIC_NET, at_infinity=False, point=x
-    ),
+    "vanishing_sequence point": lambda x: vanishing_sequence(SHIFTED_CUBIC_NET, point=x),
     "translate shift": lambda x: translate(SHIFTED_CUBIC_NET, x),
     "PolySeries coefficient": lambda x: _series(1, [x, 0], [0, 1], [1, 1]),
     "root_sum coefficient": lambda x: root_sum([x, 1]),
@@ -427,10 +430,7 @@ class TestProperties:
     def test_equivalence_with_sequence_gap(self, series):
         if not _rank3(series):
             return
-        seq = vanishing_sequence(series)
-        if seq.a0 != 0:
-            return
-        assert root_sum_criterion(series) == (seq.a1 >= 2)
+        assert root_sum_criterion(series) == (1 not in vanishing_sequence(series).orders)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ def _reference_relation(series):
 
 def _orders(series, point):
     try:
-        return vanishing_sequence(series, at_infinity=point is None, point=point).orders
+        return vanishing_sequence(series, point).orders
     except RankDeficientError:
         return RankDeficientError
 
