@@ -29,7 +29,10 @@ def main():
     )
     args = parser.parse_args()
 
-    rows = divisibility_report(args.max)
+    try:
+        rows = divisibility_report(args.max)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"{'d':>4} {'N_d mod 3':>10} {'d mod 3':>8} {'C(d-1,2) mod 3':>16}  law")
     for row in rows:
         mark = "ANOMALY" if row.anomaly else "ok"

@@ -10,9 +10,10 @@ meet the generic point conditions.
 """
 
 import argparse
+import sys
 from collections import Counter
 
-from curvecount.strata import classify_survivors, survivor_threshold
+from curvecount.strata import ResourceGuardError, classify_survivors, survivor_threshold
 
 
 def main():
@@ -28,9 +29,15 @@ def main():
     )
     args = parser.parse_args()
 
-    strata = classify_survivors(
-        args.d, args.max_extra, include_circuits=args.include_circuits
-    )
+    try:
+        strata = classify_survivors(
+            args.d, args.max_extra, include_circuits=args.include_circuits
+        )
+    except ResourceGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        parser.error(str(exc))
     survivors = [s for s in strata if s.survivor]
     avoided = [s for s in strata if not s.survivor]
 

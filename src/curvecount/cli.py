@@ -305,6 +305,49 @@ def _cmd_ed(args: argparse.Namespace) -> int:
     return 0
 
 
+def _with_cells(shown, render):
+    """Each listed class with ``render(kind, e, k, dim, bound, survivor, note)``.
+
+    Those seven cells are the class's verdict, which every class of one
+    skeleton shares, so ``render`` runs once per distinct verdict, not once
+    per row.
+    """
+    rendered: dict[tuple, object] = {}
+    for sc in shown:
+        g = sc.shape
+        verdict = (g.kind, g.e, g.k, sc.dim, sc.bound, sc.survivor, sc.note)
+        cells = rendered.get(verdict)
+        if cells is None:
+            cells = rendered[verdict] = render(*verdict)
+        yield sc, cells
+
+
+def _csv_cells(kind, e, k, dim, bound, survivor, note):
+    """The CSV verdict cells: kind, then those between the shape and the multiplicity."""
+    return kind, (str(e), str(k), str(dim), str(bound), "true" if survivor else "false", note or "")
+
+
+def _json_parts(kind, e, k, dim, bound, survivor, note):
+    """A compact JSON shape object cut where its shape and its multiplicity go."""
+    obj = {
+        "kind": kind,
+        "shape": "\0",
+        "e": e,
+        "k": k,
+        "dim": dim,
+        "bound": bound,
+        "survivor": survivor,
+        "note": note,
+        "multiplicity": "\0",
+    }
+    return json.dumps(obj, separators=(",", ":")).split('"\\u0000"')
+
+
+def _plain_cells(kind, e, k, dim, bound, survivor, note):
+    """The plain verdict cells: the six before the multiplicity, then the note."""
+    return (kind, str(e), str(k), str(dim), str(bound), "yes" if survivor else "no"), note or "-"
+
+
 def _cmd_strata(args: argparse.Namespace) -> int:
     d = args.d
     shapes = enumerate_shapes(
@@ -327,89 +370,67 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     expected_tail = 2 ** (3 * d - 1) if args.max_extra >= 1 else None
     survivors = sum(1 for sc in shapes if sc.survivor)
     shown = [sc for sc in shapes if sc.survivor] if args.survivors_only else shapes
+    # Every format writes each row as it is formed.
+    write = sys.stdout.write
 
     if args.output == "csv":
-        _emit_csv(
-            ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"],
-            [
-                [
-                    sc.kind,
-                    sc.shape.canonical_key,
-                    str(sc.e),
-                    str(sc.k),
-                    str(sc.dim),
-                    str(sc.bound),
-                    "true" if sc.survivor else "false",
-                    sc.note or "",
-                    str(sc.multiplicity),
-                ]
-                for sc in shown
-            ],
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(
+            ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"]
         )
+        for sc, (kind, cells) in _with_cells(shown, _csv_cells):
+            writer.writerow((kind, sc.shape.canonical_key, *cells, sc.multiplicity))
     elif args.output == "json":
-        _emit_json(
-            {
-                "d": d,
-                "max_extra": args.max_extra,
-                "mode": "full" if args.full else "collapsed",
-                "include_circuits": args.include_circuits,
-                "survivors_only": args.survivors_only,
-                "shapes": [
-                    {
-                        "kind": sc.kind,
-                        "shape": sc.shape.canonical_key,
-                        "e": sc.e,
-                        "k": sc.k,
-                        "dim": sc.dim,
-                        "bound": sc.bound,
-                        "survivor": sc.survivor,
-                        "note": sc.note,
-                        "multiplicity": str(sc.multiplicity),
-                    }
-                    for sc in shown
-                ],
-                "summary": {
-                    "classes": len(shapes),
-                    "listed": len(shown),
-                    "marked_total": str(marked_total),
-                    "single_tail_family": None if single_tail is None else str(single_tail),
-                    "single_tail_expected": None if expected_tail is None else str(expected_tail),
-                    "survivors": survivors,
-                },
-            }
-        )
+        # The bytes json.dumps(doc, separators=(",", ":")) would give the whole document.
+        head = {
+            "d": d,
+            "max_extra": args.max_extra,
+            "mode": "full" if args.full else "collapsed",
+            "include_circuits": args.include_circuits,
+            "survivors_only": args.survivors_only,
+        }
+        summary = {
+            "classes": len(shapes),
+            "listed": len(shown),
+            "marked_total": str(marked_total),
+            "single_tail_family": None if single_tail is None else str(single_tail),
+            "single_tail_expected": None if expected_tail is None else str(expected_tail),
+            "survivors": survivors,
+        }
+        write(json.dumps(head, separators=(",", ":"))[:-1] + ',"shapes":[')
+        encode = json.encoder.encode_basestring_ascii
+        sep = ""
+        for sc, (start, middle, end) in _with_cells(shown, _json_parts):
+            write(f'{sep}{start}{encode(sc.shape.canonical_key)}{middle}"{sc.multiplicity}"{end}')
+            sep = ","
+        write(f'],"summary":{json.dumps(summary, separators=(",", ":"))}}}\n')
     else:
-        cols = ["kind", "e", "k", "dim", "bound", "survivor", "multiplicity", "shape", "note"]
-        cells = [
-            [
-                sc.kind,
-                str(sc.e),
-                str(sc.k),
-                str(sc.dim),
-                str(sc.bound),
-                "yes" if sc.survivor else "no",
-                str(sc.multiplicity),
-                sc.shape.canonical_key,
-                sc.note or "-",
-            ]
-            for sc in shown
-        ]
-        if cells:
-            widths = [
-                max(len(cols[i]), max(len(row[i]) for row in cells))
-                for i in range(len(cols))
-            ]
-            print("  ".join(cols[i].ljust(widths[i]) for i in range(len(cols))).rstrip())
-            for row in cells:
-                print("  ".join(row[i].ljust(widths[i]) for i in range(len(cols))).rstrip())
-        print(f"classes: {len(shapes)} (listed: {len(shown)})")
-        print(f"marked total: {marked_total}")
+        if shown:
+            # Column widths from the distinct verdict cells, then one pass over
+            # keys and multiplicities (non-negative, so the largest is widest).
+            cols = ["kind", "e", "k", "dim", "bound", "survivor", "multiplicity", "shape", "note"]
+            distinct = {lead for _, (lead, _) in _with_cells(shown, _plain_cells)}
+            widths = [max(len(cols[i]), *(len(lead[i]) for lead in distinct)) for i in range(6)]
+            wm = max(len(cols[6]), len(str(max(sc.multiplicity for sc in shown))))
+            wk = max(len(cols[7]), max(len(sc.shape.canonical_key) for sc in shown))
+            header = zip(cols, [*widths, wm, wk, 0])
+            write("  ".join(col.ljust(w) for col, w in header).rstrip() + "\n")
+
+            def padded(*verdict):
+                lead, note = _plain_cells(*verdict)
+                return "".join(c.ljust(w) + "  " for c, w in zip(lead, widths)), "  " + note
+
+            for sc, (lead, note) in _with_cells(shown, padded):
+                line = f"{lead}{sc.multiplicity:<{wm}}  {sc.shape.canonical_key:<{wk}}{note}"
+                write(line.rstrip() + "\n")
+        write(f"classes: {len(shapes)} (listed: {len(shown)})\n")
+        write(f"marked total: {marked_total}\n")
         if single_tail is not None:
-            print(
+            write(
                 f"single-tail family: {single_tail} "
-                f"(expected 2^{3 * args.d - 1} = {expected_tail})"
+                f"(expected 2^{3 * args.d - 1} = {expected_tail})\n"
             )
-        print(f"survivors: {survivors}")
+        write(f"survivors: {survivors}\n")
     return 0
 
 

@@ -12,7 +12,10 @@ trees use the classic sorted-subtree encoding rooted at the distinguished
 vertex, and circuit graphs serialize the cycle of hanging rooted trees in
 its lexicographically minimal rotation or reflection.  Equal canonical
 strings mean isomorphic objects (isomorphisms fix vertex 0 for trees), so
-deduplication is a set membership test.
+deduplication is a set membership test.  The key is each class's
+``canonical_key`` cached property: a graph from the validating constructor
+computes it on first read, and a shape built from a validated skeleton by
+``_with_legs`` gets it at construction, through the same function.
 
 Grammar of the canonical strings (stable; also used by the CLI):
 
@@ -217,9 +220,13 @@ class _MarkedGraph:
     def _with_legs(self, leg_counts, leg_labels=None):
         """This validated skeleton with legs placed (normalized tuples), built
         without re-validation.  It shares the skeleton's weights, edges and
-        the leg-free cached values ``_shared``; only its canonical key is new.
+        the leg-free cached values ``_shared``; its canonical key is built
+        here, through the class's ``canonical_key`` function, and stored as
+        that cached property's value, so every later read is a plain
+        attribute lookup.
         """
-        g = object.__new__(type(self))
+        cls = type(self)
+        g = object.__new__(cls)
         # One attribute at a time, fields first as the validating constructor
         # sets them, keeps a key-sharing __dict__: half the size of a bulk update's.
         put = object.__setattr__
@@ -229,6 +236,7 @@ class _MarkedGraph:
         put(g, "leg_labels", leg_labels)
         for name in self._shared:
             put(g, name, getattr(self, name))
+        put(g, "canonical_key", cls.canonical_key.func(g))
         return g
 
     def relabeled(self, perm):

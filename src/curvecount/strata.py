@@ -10,7 +10,8 @@ conditions).
 
 Enumeration goes by skeleton, the weighted graph before legs are placed:
 each is validated once, its exact class count feeds the guard, its verdict
-is found once, and each listed shape is built from it without re-validation.
+is found once, and each listed shape is built from it without re-validation,
+its canonical key built with it (``_MarkedGraph._with_legs``).
 Every listed class is one ``ShapeClass`` record carrying its shape, its
 multiplicity and that verdict, which is all a row of the listing needs.
 
@@ -400,7 +401,10 @@ def enumerate_shapes(
             out.extend(
                 ShapeClass(g, 1, *verdict) for g in _labelled_classes(skel, autos, req, legs_total)
             )
-    out.sort(key=lambda sc: (sc.kind, sc.shape.canonical_key))
+    # Ordered by (kind, key) in two stable sorts, so the sort keys are
+    # references to strings the classes hold, not a new tuple per class.
+    out.sort(key=lambda sc: sc.shape.canonical_key)
+    out.sort(key=lambda sc: sc.shape.kind)
     return out
 
 

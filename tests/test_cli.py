@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import io
 import json
 import os
@@ -265,6 +267,97 @@ class TestStrata:
     def test_rejects_bad_ceiling(self, capsys):
         rc, _, _ = run(capsys, ["strata", "--d", "3", "--ceiling", "0"])
         assert rc == 2
+
+
+def _plain_table(out):
+    """The plain listing's rows, cut at the header's column offsets, after
+    checking that every cell starts at its column and no line ends in a space."""
+    lines = out.splitlines()
+    assert all(line == line.rstrip() for line in lines)
+    header = lines[0]
+    offsets = [i for i, ch in enumerate(header) if ch != " " and (i == 0 or header[i - 1] == " ")]
+    assert header.split() == ["kind", "e", "k", "dim", "bound", "survivor", "multiplicity", "shape", "note"]
+    rows = []
+    for line in lines[1:]:
+        if line.startswith("classes: "):
+            break
+        cells = []
+        for i, start in enumerate(offsets):
+            end = offsets[i + 1] if i + 1 < len(offsets) else len(line)
+            cell = line[start:end].rstrip()
+            assert cell and line[start] != " " and (start == 0 or line[start - 1] == " ")
+            assert line[start:end] == cell.ljust(end - start)
+            cells.append(cell)
+        rows.append(cells)
+    return rows
+
+
+class TestStrataStreaming:
+    """Each listing is written row by row; all three formats stay well formed
+    and list the same cells."""
+
+    @pytest.mark.parametrize("survivors", [False, True])
+    @pytest.mark.parametrize("circuits", [False, True])
+    @pytest.mark.parametrize("full, k", [(False, 2), (True, 1)])
+    def test_formats_agree(self, capsys, full, k, circuits, survivors):
+        argv = ["strata", "--d", "3", "--max-extra", str(k)]
+        argv += ["--full"] * full + ["--include-circuits"] * circuits + ["--survivors-only"] * survivors
+        outs = {}
+        for fmt in ("json", "csv", "plain"):
+            rc, outs[fmt], err = run(capsys, argv + ["--format", fmt])
+            assert (rc, err) == (0, "")
+
+        doc = json.loads(outs["json"])
+        assert json.dumps(doc, separators=(",", ":")) + "\n" == outs["json"]
+        shapes = doc["shapes"]
+        assert len(shapes) == doc["summary"]["listed"] > 0
+
+        table = list(csv.reader(io.StringIO(outs["csv"])))
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(table)
+        assert text.getvalue() == outs["csv"]
+        assert table[0] == ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"]
+        assert table[1:] == [
+            [s["kind"], s["shape"], str(s["e"]), str(s["k"]), str(s["dim"]), str(s["bound"]),
+             "true" if s["survivor"] else "false", s["note"] or "", s["multiplicity"]]
+            for s in shapes
+        ]
+
+        assert _plain_table(outs["plain"]) == [
+            [s["kind"], str(s["e"]), str(s["k"]), str(s["dim"]), str(s["bound"]),
+             "yes" if s["survivor"] else "no", s["multiplicity"], s["shape"], s["note"] or "-"]
+            for s in shapes
+        ]
+
+
+PINNED_LISTINGS = {
+    "strata --d 6 --max-extra 2 --include-circuits":
+        "357fc0461e53f485c6fbd725415405aeb57b3dc765a2ec19a380e88fb9cbee0f",
+    "strata --d 6 --max-extra 2 --include-circuits --format csv":
+        "e38eb10f2c5826321674c13d41cc0005e19fd875e6ca6aa5b3fa22bb9c2b10fb",
+    "strata --d 6 --max-extra 2 --include-circuits --format json":
+        "cf865eb06daeaae96be54731122f64c1d4facb2df290f53449ff3edf8632317f",
+    "strata --d 3 --max-extra 2 --full --survivors-only --format json":
+        "61de7929fbf00ebd6fbfb6c1985cf8ac29634674341c6cc3c029549ee2376b82",
+}
+
+
+class TestPinnedListings:
+    """Stdout digests of listings outside the benchmark's golden file, recorded
+    before listings were streamed; the bytes must not move."""
+
+    @pytest.mark.parametrize("argv", PINNED_LISTINGS)
+    def test_listing_digest(self, capsys, argv):
+        rc, out, err = run(capsys, argv.split())
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LISTINGS[argv]
+
+    def test_full_survivors_at_degree_four_are_refused(self, capsys):
+        # Every labelled class counts towards the ceiling, survivor or not.
+        argv = "strata --d 4 --max-extra 2 --full --survivors-only --format json"
+        rc, out, err = run(capsys, argv.split())
+        assert (rc, out) == (4, "")
+        assert err == "error: projected class count 601572 exceeds the ceiling 500000\n"
 
 
 class TestSeries:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -46,3 +48,24 @@ def test_survivor_scan_summary_with_circuits():
         "unconditional survivors: 1",
     ):
         assert line in lines
+
+
+@pytest.mark.parametrize(
+    "name, args, code, message",
+    [
+        ("survivor_scan.py", ["--d", "2"], 2, "strata are defined for d >= 3, got 2"),
+        ("survivor_scan.py", ["--max-extra", "5"], 4, "max_extra_vertices 5 exceeds the desk-scale guard 4"),
+        ("divisibility_table.py", ["--max", "0"], 2, "report needs d_max >= 3, got 0"),
+    ],
+)
+def test_script_errors_end_in_one_error_line(name, args, code, message):
+    proc = run_script(name, *args)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error: " in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+    if code == 2:
+        assert proc.stderr.startswith(f"usage: {name}")
+    else:
+        assert proc.stderr == f"error: {message}\n"

@@ -447,6 +447,23 @@ class TestRebuild:
             classify(sc.shape, 4)
 
 
+class TestEagerKey:
+    """``_with_legs`` builds each listed shape's key with the shape; it is the
+    key the validating constructor gives the same fields.  Full mode at d = 4
+    stops at one extra vertex: two exceed the default class ceiling."""
+
+    @pytest.mark.parametrize(
+        "d, k, collapsed", [(3, 2, True), (3, 2, False), (4, 2, True), (4, 1, False)]
+    )
+    def test_eager_key_is_the_constructors_key(self, d, k, collapsed):
+        listed = enumerate_shapes(d, k, collapsed=collapsed, include_circuits=True)
+        assert {c.kind for c in listed} == {"tree", "circuit"}
+        for sc in listed:
+            s = sc.shape
+            assert "canonical_key" in vars(s)
+            assert type(s)(s.weights, s.edges, s.leg_counts, s.leg_labels).canonical_key == s.canonical_key
+
+
 def _in_survivor_family(g):
     """The one-vertex tree, or an e = 0, k = 2 tree with both extra weights positive."""
     if g.kind != "tree":
