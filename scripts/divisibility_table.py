@@ -28,6 +28,8 @@ def main():
         help="largest degree for the exact-division pass (default 30)",
     )
     args = parser.parse_args()
+    if args.integrality_max < 3:
+        parser.error(f"exact-division pass needs --integrality-max >= 3, got {args.integrality_max}")
 
     try:
         rows = divisibility_report(args.max)

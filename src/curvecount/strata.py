@@ -8,10 +8,13 @@ exhaustive enumeration of isomorphism classes at desk scale, and the
 survivor classification (which strata can still meet 3d-1 general point
 conditions).
 
-Enumeration goes by skeleton, the weighted graph before legs are placed:
-each is validated once, its exact class count feeds the guard, its verdict
-is found once, and each listed shape is built from it without re-validation,
-its canonical key built with it (``_MarkedGraph._with_legs``).
+Enumeration goes by skeleton, the weighted graph before legs are placed.
+Each unweighted shape is built once per isomorphism class, and one rule,
+``_least_in_orbit``, picks the weightings, leg profiles and leg labellings
+that are built: those least in their orbit under the symmetries.  Each
+skeleton is validated once, its exact class count feeds the guard, its
+verdict is found once, and each listed shape is built from it without
+re-validation, its canonical key built with it (``_MarkedGraph._with_legs``).
 Every listed class is one ``ShapeClass`` record carrying its shape, its
 multiplicity and that verdict, which is all a row of the listing needs.
 
@@ -27,7 +30,6 @@ branches on the species.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -166,59 +168,32 @@ def _multinomial(total: int, parts) -> int:
     return out
 
 
-def _pruefer_decode(seq, n: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(heap, x)
-    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-    return tuple(edges)
-
-
-def _labeled_trees(n: int):
-    if n == 1:
-        yield ()
-    else:
-        for seq in itertools.product(range(n), repeat=n - 2):
-            yield _pruefer_decode(seq, n)
-
-
-def _circuit_edge_sets(n: int):
-    """Edge multisets on n vertices that form a one-circuit graph."""
+def _shapes(cls, n: int, extra_edges: int) -> list[Shape]:
+    """The unweighted graphs of ``cls`` on n vertices, one per isomorphism
+    class.  Every tree has a labelling in which each vertex v > 0 hangs from
+    an earlier one, so the trees are the parent arrays; a one-circuit graph is
+    such a tree plus ``extra_edges`` = 1 more pair, which may double an edge."""
+    zeros = (0,) * n
     pairs = list(itertools.combinations(range(n), 2))
-    for combo in itertools.combinations_with_replacement(pairs, n):
-        try:
-            CircuitGraph((0,) * n, combo, (0,) * n)
-        except ValueError:
-            continue
-        yield combo
+    shapes: dict[str, Shape] = {}
+    for parents in itertools.product(*map(range, range(1, n))):
+        tree = tuple(enumerate(parents, start=1))
+        for extra in itertools.combinations(pairs, extra_edges):
+            g = cls(zeros, tree + extra, zeros)
+            shapes.setdefault(g.canonical_key, g)
+    return list(shapes.values())
 
 
-def _weighted_skeletons(cls, edge_sets, d: int, n: int):
-    """Yield the nonempty (e != 1) weighted skeletons of ``cls`` on n vertices,
-    one per class, each as soon as its class is first seen."""
-    seen: set[str] = set()
-    for edges in edge_sets:
-        for w in _compositions(d, n):
-            skel = cls(w, edges, (0,) * n)
-            if skel.e != 1 and skel.canonical_key not in seen:
-                seen.add(skel.canonical_key)
-                yield skel
-
-
-def _apply(perm, profile) -> tuple[int, ...]:
-    out = [0] * len(profile)
-    for i, value in enumerate(profile):
+def _apply(perm, vector) -> tuple:
+    out = [0] * len(vector)
+    for i, value in enumerate(vector):
         out[perm[i]] = value
     return tuple(out)
+
+
+def _least_in_orbit(autos, vector) -> bool:
+    """True iff ``vector`` is the least of its orbit under the group ``autos``."""
+    return all(_apply(sigma, vector) >= vector for sigma in autos)
 
 
 def _cycle_lengths(perm) -> list[int]:
@@ -301,17 +276,12 @@ def _profile_orbits(skel: Shape, autos, req, legs_total: int):
     if free < 0:
         return
     n = skel.n_vertices
-    seen: set[tuple[int, ...]] = set()
     for comp in _compositions(free, n):
         p = tuple(comp[i] + req[i] for i in range(n))
         if len(autos) == 1:
             yield p, _multinomial(legs_total, p)
-            continue
-        canon = min(_apply(sigma, p) for sigma in autos)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        yield canon, _orbit_multiplicity(autos, canon, legs_total)
+        elif _least_in_orbit(autos, p):
+            yield p, _orbit_multiplicity(autos, p, legs_total)
 
 
 def _label_sets(legs: tuple[int, ...], profile):
@@ -324,26 +294,34 @@ def _label_sets(legs: tuple[int, ...], profile):
         yield from ((first,) + tail for tail in _label_sets(rest, profile[1:]))
 
 
-def _labelled_classes(skel: Shape, autos, req, legs_total: int) -> list[Shape]:
-    """One shape per class of labelled leg assignments: every class has one whose
-    profile is an orbit representative, so only those are tried and deduplicated."""
+def _labelled_classes(skel: Shape, autos, req, legs_total: int):
+    """Yield one shape per class of labelled leg assignments.  Each class has
+    labellings whose profile is the least of its orbit; those form one orbit
+    under that profile's stabilizer, and its least labelling is the one built."""
     legs = tuple(range(1, legs_total + 1))
-    classes: dict[str, Shape] = {}
     for profile, _ in _profile_orbits(skel, autos, req, legs_total):
+        stab = [sigma for sigma in autos if _apply(sigma, profile) == profile]
         for labels in _label_sets(legs, profile):
-            g = skel._with_legs(profile, labels)
-            classes.setdefault(g.canonical_key, g)
-    return list(classes.values())
+            if len(stab) == 1 or _least_in_orbit(stab, labels):
+                yield skel._with_legs(profile, labels)
 
 
 def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
-    """Yield every weighted skeleton once, by species and then vertex count."""
-    species = [(DistinguishedTree, _labeled_trees, 1)]
+    """Yield every nonempty (e != 1) weighted skeleton once, by species and
+    then vertex count: each shape with each weighting least in its orbit
+    under the shape's automorphisms."""
+    species = [(DistinguishedTree, 1, 0)]
     if include_circuits:
-        species.append((CircuitGraph, _circuit_edge_sets, 2))
-    for cls, edge_sets, min_vertices in species:
+        species.append((CircuitGraph, 2, 1))
+    for cls, min_vertices, extra_edges in species:
         for n in range(min_vertices, max_extra_vertices + 2):
-            yield from _weighted_skeletons(cls, edge_sets(n), d, n)
+            for shape in _shapes(cls, n, extra_edges):
+                autos = shape.skeleton_automorphisms()
+                for w in _compositions(d, n):
+                    if _least_in_orbit(autos, w):
+                        skel = cls(w, shape.edges, shape.leg_counts)
+                        if skel.e != 1:
+                            yield skel
 
 
 def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:

@@ -251,9 +251,9 @@ class TestStrata:
         assert elapsed < 1.0
 
     def test_guard_trips_inside_a_group(self, capsys):
-        # Each skeleton's count is added as it is first seen, so the refusal
-        # comes a few skeletons into the 3-vertex trees, not after building
-        # all 34,000 weightings of that group.
+        # Each skeleton's count is added as the skeleton is built, so the
+        # refusal comes a few skeletons into the 3-vertex trees, not after
+        # weighting both 3-vertex shapes (17,027 skeletons).
         start = time.perf_counter()
         rc, out, err = run(capsys, ["strata", "--d", "150", "--max-extra", "2"])
         assert time.perf_counter() - start < 0.5

@@ -56,6 +56,12 @@ def test_survivor_scan_summary_with_circuits():
         ("survivor_scan.py", ["--d", "2"], 2, "strata are defined for d >= 3, got 2"),
         ("survivor_scan.py", ["--max-extra", "5"], 4, "max_extra_vertices 5 exceeds the desk-scale guard 4"),
         ("divisibility_table.py", ["--max", "0"], 2, "report needs d_max >= 3, got 0"),
+        (
+            "divisibility_table.py",
+            ["--integrality-max", "2"],
+            2,
+            "exact-division pass needs --integrality-max >= 3, got 2",
+        ),
     ],
 )
 def test_script_errors_end_in_one_error_line(name, args, code, message):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from curvecount.strata import (
     _min_legs,
     _profile_count,
     _profile_orbits,
+    _shapes,
     _skeletons,
     _verdict,
     classify,
@@ -262,8 +264,10 @@ class TestGuards:
     def test_exact_projection_admits_degree_four_with_circuits(self):
         # The exact count, 380,027, is under the default ceiling.  The last
         # group of skeletons crosses this one, so the reported total is the full one.
+        start = time.perf_counter()
         with pytest.raises(ResourceGuardError) as err:
             enumerate_shapes(4, 4, include_circuits=True, ceiling=380_026)
+        assert time.perf_counter() - start < 0.3
         assert err.value.projected == 380_027
 
     def test_full_mode_ceiling_uses_marked_projection(self):
@@ -386,6 +390,11 @@ class TestBurnside:
         with pytest.raises(ResourceGuardError) as err:
             enumerate_shapes(d, k, collapsed=False, include_circuits=circuits, ceiling=marked - 1)
         assert err.value.projected == marked
+        # Full mode keeps one labelling per orbit under each profile's
+        # stabilizer: no class dropped, none listed twice.
+        if marked <= DEFAULT_CLASS_CEILING:
+            full = enumerate_shapes(d, k, collapsed=False, include_circuits=circuits)
+            assert len({c.shape.canonical_key for c in full}) == len(full) == marked
 
     def test_full_listing_matches_marked_count(self, full_3_2):
         legs = 8
@@ -412,6 +421,56 @@ class TestBurnside:
                     keys.add(type(skel)(skel.weights, skel.edges, counts, labels).canonical_key)
         listed = enumerate_shapes(d, k, collapsed=False, include_circuits=circuits)
         assert sorted(c.shape.canonical_key for c in listed) == sorted(keys)
+
+
+def _trial_skeletons(d, n, cls):
+    """Reference generator: every multiset of n - 1 (trees) or n (circuits)
+    vertex pairs through the validating constructor, invalid ones caught,
+    then every weight composition of the valid ones, one graph kept per
+    canonical key and e = 1 dropped."""
+    zeros = (0,) * n
+    pairs = list(itertools.combinations(range(n), 2))
+    found = {}
+    for edges in itertools.combinations_with_replacement(pairs, n - (cls is DistinguishedTree)):
+        try:
+            cls(zeros, edges, zeros)
+        except ValueError:
+            continue
+        for w in itertools.product(range(d + 1), repeat=n):
+            if sum(w) == d:
+                g = cls(w, edges, zeros)
+                if g.e != 1:
+                    found.setdefault(g.canonical_key, g)
+    return found
+
+
+class TestSkeletons:
+    """Skeletons are generated as orbit representatives of weightings of
+    unweighted shapes; trial construction with key-based dedup is the oracle."""
+
+    @pytest.mark.parametrize("d, max_k", [(3, 4), (4, 4), (5, 3), (6, 3)])
+    def test_skeletons_match_trial_construction(self, d, max_k):
+        trial = {}
+        for n in range(1, max_k + 2):
+            trial.update(_trial_skeletons(d, n, DistinguishedTree))
+            if n >= 2:
+                trial.update(_trial_skeletons(d, n, CircuitGraph))
+        for k in range(max_k + 1):
+            keys = [s.canonical_key for s in _skeletons(d, k, True)]
+            expected = {key for key, g in trial.items() if g.n_vertices <= k + 1}
+            assert len(keys) == len(set(keys))
+            assert set(keys) == expected
+
+    def test_tree_shapes_are_rooted_trees(self):
+        # OEIS A000081.
+        counts = [len(_shapes(DistinguishedTree, n, 0)) for n in range(1, 7)]
+        assert counts == [1, 1, 2, 4, 9, 20]
+
+    def test_circuit_shapes(self):
+        # Simple unicyclic graphs (OEIS A001429: 0, 0, 1, 2, 5, 13) plus the
+        # unordered pairs of rooted trees hanging on a double edge.
+        counts = [len(_shapes(CircuitGraph, n, 1)) for n in range(2, 7)]
+        assert counts == [1, 2, 5, 11, 29]
 
 
 @pytest.fixture(scope="module")
