@@ -102,18 +102,12 @@ def _validate_common(weights, edges, leg_counts, leg_labels) -> None:
                 seen.add(lab)
 
 
-def _apply_perm(perm, weights, edges, leg_counts, leg_labels):
-    n = len(weights)
-    w = [0] * n
-    c = [0] * n
-    labs = [None] * n if leg_labels is not None else None
-    for i in range(n):
-        w[perm[i]] = weights[i]
-        c[perm[i]] = leg_counts[i]
-        if labs is not None:
-            labs[perm[i]] = leg_labels[i]
-    e = tuple((perm[a], perm[b]) for a, b in edges)
-    return tuple(w), e, tuple(c), tuple(labs) if labs is not None else None
+def _apply(perm, vector) -> tuple:
+    """The per-vertex ``vector`` after vertex i is renamed perm[i]."""
+    out = [0] * len(vector)
+    for i, value in enumerate(vector):
+        out[perm[i]] = value
+    return tuple(out)
 
 
 def _skeleton_automorphisms(g) -> tuple[tuple[int, ...], ...]:
@@ -240,12 +234,15 @@ class _MarkedGraph:
         return g
 
     def relabeled(self, perm):
-        """The same graph with vertex i renamed perm[i]; perm must fix the
-        distinguished vertices."""
+        """The same graph with vertex i renamed perm[i]; perm must be a
+        permutation of the vertices that fixes the distinguished ones."""
+        if len(perm) != self.n_vertices or set(perm) != set(range(self.n_vertices)):
+            raise ValueError(f"relabeling {perm} is not a permutation of this {self.kind}'s vertices")
         if any(perm[v] != v for v in self.distinguished):
             raise ValueError(f"relabeling {perm} moves a distinguished vertex of this {self.kind}")
-        w, e, c, labs = _apply_perm(perm, self.weights, self.edges, self.leg_counts, self.leg_labels)
-        return type(self)(w, e, c, labs)
+        labels = None if self.leg_labels is None else _apply(perm, self.leg_labels)
+        edges = [(perm[a], perm[b]) for a, b in self.edges]
+        return type(self)(_apply(perm, self.weights), edges, _apply(perm, self.leg_counts), labels)
 
 
 @dataclass(frozen=True)

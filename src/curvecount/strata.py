@@ -9,12 +9,13 @@ survivor classification (which strata can still meet 3d-1 general point
 conditions).
 
 Enumeration goes by skeleton, the weighted graph before legs are placed.
-Each unweighted shape is built once per isomorphism class, and one rule,
-``_least_in_orbit``, picks the weightings, leg profiles and leg labellings
-that are built: those least in their orbit under the symmetries.  Each
-skeleton is validated once, its exact class count feeds the guard, its
-verdict is found once, and each listed shape is built from it without
-re-validation, its canonical key built with it (``_MarkedGraph._with_legs``).
+Each unweighted shape is built, and its group searched, once per isomorphism
+class; a skeleton's group and a leg profile's are stabilizers in the group
+above (``_stabilizer``), and one rule, ``_least_in_orbit``, picks the
+weightings, leg profiles and leg labellings that are built: those least in
+their orbit.  Each skeleton is validated once, its exact class count feeds
+the guard, its verdict is found once, and each listed shape is built from it
+without re-validation, its canonical key built with it (``_with_legs``).
 Every listed class is one ``ShapeClass`` record carrying its shape, its
 multiplicity and that verdict, which is all a row of the listing needs.
 
@@ -34,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .graphs import CircuitGraph, DistinguishedTree
+from .graphs import CircuitGraph, DistinguishedTree, _apply
 
 __all__ = [
     "DEFAULT_CLASS_CEILING",
@@ -81,38 +82,25 @@ def is_stable(g: Shape) -> bool:
     return not any(_min_legs(g))
 
 
-def dimension(g: Shape, d: int) -> int | None:
-    """Stratum dimension, or None for the empty stratum (e = 1)."""
+def _stable(g: Shape) -> Shape:
+    """g itself; ValueError if it is unstable and so has no stratum."""
     if not is_stable(g):
         raise ValueError(f"unstable graph has no stratum: {g.canonical_key}")
-    return _dimension(g, d)
+    return g
 
 
-def _dimension(g: Shape, d: int) -> int | None:
-    """``dimension`` of a skeleton, whose listed leg profiles are all stable."""
-    if g.total_weight != d:
-        raise ValueError(f"graph weights sum to {g.total_weight}, not d={d}")
-    e = g.e
-    if e == 1:
-        return None
-    k = g.k
-    return 6 * d - 2 - k if e >= 2 else 6 * d - k
+def dimension(g: Shape, d: int) -> int | None:
+    """Stratum dimension, or None for the empty stratum (e = 1)."""
+    return _verdict(_stable(g), d)[0]
 
 
 def deformation_bound(g: Shape, d: int) -> int | None:
     """Dimension bound after deforming the weight-d component, if any.
 
-    When e = 0 and some vertex off the core carries the whole degree d, the stratum's image under deformation
-    loses 2 dimensions; every other case keeps the plain dimension.
+    When e = 0 and a vertex off the core carries the whole degree d, the stratum's
+    image under deformation loses 2 dimensions; otherwise the bound is the dimension.
     """
-    return _bound_from(g, d, dimension(g, d))
-
-
-def _bound_from(g: Shape, d: int, dim: int | None) -> int | None:
-    if dim is None or g.e != 0:
-        return dim
-    core = g.core
-    return dim - 2 if any(w == d for v, w in enumerate(g.weights) if v not in core) else dim
+    return _verdict(_stable(g), d)[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,16 +172,14 @@ def _shapes(cls, n: int, extra_edges: int) -> list[Shape]:
     return list(shapes.values())
 
 
-def _apply(perm, vector) -> tuple:
-    out = [0] * len(vector)
-    for i, value in enumerate(vector):
-        out[perm[i]] = value
-    return tuple(out)
-
-
 def _least_in_orbit(autos, vector) -> bool:
     """True iff ``vector`` is the least of its orbit under the group ``autos``."""
     return all(_apply(sigma, vector) >= vector for sigma in autos)
+
+
+def _stabilizer(autos, vector) -> tuple:
+    """The elements of the group ``autos`` that fix ``vector``, in their order."""
+    return tuple(sigma for sigma in autos if _apply(sigma, vector) == vector)
 
 
 def _cycle_lengths(perm) -> list[int]:
@@ -253,35 +239,37 @@ def _marked_count(autos, req, legs_total: int) -> int:
     return fixed // len(autos)
 
 
-def _orbit_multiplicity(autos, profile, legs_total: int) -> int:
-    """Full marked classes with leg-count profile p: multinomial(legs; p)
-    times |pointwise stabilizer of p's support| over |stabilizer of p|,
-    which is exact because every orbit of assignments with profile p under
-    the profile stabilizer has that same uniform size."""
-    stab = [sigma for sigma in autos if _apply(sigma, profile) == profile]
+def _orbit_multiplicity(stab, profile, legs_total: int) -> int:
+    """Full marked classes with leg-count profile p, given p's stabilizer
+    ``stab``: multinomial(legs; p) times |pointwise stabilizer of p's support|
+    over |stab|, which is exact because every orbit of assignments with
+    profile p under ``stab`` has that same uniform size."""
+    mult = _multinomial(legs_total, profile)
+    if len(stab) == 1:
+        return mult
     support = [v for v, count in enumerate(profile) if count]
     pointwise = [sigma for sigma in stab if all(sigma[v] == v for v in support)]
-    mult, rem = divmod(_multinomial(legs_total, profile) * len(pointwise), len(stab))
+    mult, rem = divmod(mult * len(pointwise), len(stab))
     if rem:
         raise AssertionError("orbit count came out fractional; formula misapplied")
     return mult
 
 
-def _profile_orbits(skel: Shape, autos, req, legs_total: int):
-    """Yield (profile, multiplicity) per orbit of valid leg-count profiles,
-    the multiplicity from ``_orbit_multiplicity``.  On a rigid skeleton every
-    profile is its own orbit, with the multinomial as multiplicity.
+def _profile_orbits(autos, req, legs_total: int):
+    """Yield (profile, stabilizer) per orbit of valid leg-count profiles: the
+    orbit's least profile and its stabilizer in ``autos``.  On a rigid
+    skeleton every profile is its own orbit, with ``autos`` as stabilizer.
     """
     free = legs_total - sum(req)
     if free < 0:
         return
-    n = skel.n_vertices
+    n = len(req)
     for comp in _compositions(free, n):
         p = tuple(comp[i] + req[i] for i in range(n))
         if len(autos) == 1:
-            yield p, _multinomial(legs_total, p)
+            yield p, autos
         elif _least_in_orbit(autos, p):
-            yield p, _orbit_multiplicity(autos, p, legs_total)
+            yield p, _stabilizer(autos, p)
 
 
 def _label_sets(legs: tuple[int, ...], profile):
@@ -299,17 +287,16 @@ def _labelled_classes(skel: Shape, autos, req, legs_total: int):
     labellings whose profile is the least of its orbit; those form one orbit
     under that profile's stabilizer, and its least labelling is the one built."""
     legs = tuple(range(1, legs_total + 1))
-    for profile, _ in _profile_orbits(skel, autos, req, legs_total):
-        stab = [sigma for sigma in autos if _apply(sigma, profile) == profile]
+    for profile, stab in _profile_orbits(autos, req, legs_total):
         for labels in _label_sets(legs, profile):
             if len(stab) == 1 or _least_in_orbit(stab, labels):
                 yield skel._with_legs(profile, labels)
 
 
 def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
-    """Yield every nonempty (e != 1) weighted skeleton once, by species and
-    then vertex count: each shape with each weighting least in its orbit
-    under the shape's automorphisms."""
+    """Yield (skeleton, group) for every nonempty (e != 1) weighted skeleton
+    once, by species and then vertex count: each shape with each weighting
+    least in its orbit under the shape's group, and that weighting's stabilizer."""
     species = [(DistinguishedTree, 1, 0)]
     if include_circuits:
         species.append((CircuitGraph, 2, 1))
@@ -321,7 +308,7 @@ def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
                     if _least_in_orbit(autos, w):
                         skel = cls(w, shape.edges, shape.leg_counts)
                         if skel.e != 1:
-                            yield skel
+                            yield skel, _stabilizer(autos, w)
 
 
 def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:
@@ -358,8 +345,8 @@ def enumerate_shapes(
     count = _profile_count if collapsed else _marked_count
     plans = []
     projected = 0
-    for skel in _skeletons(d, max_extra_vertices, include_circuits):
-        autos, req = skel.skeleton_automorphisms(), _min_legs(skel)
+    for skel, autos in _skeletons(d, max_extra_vertices, include_circuits):
+        req = _min_legs(skel)
         projected += count(autos, req, legs_total)
         if projected > ceiling:
             raise ResourceGuardError(
@@ -369,11 +356,11 @@ def enumerate_shapes(
         plans.append((skel, autos, req))
     out: list[ShapeClass] = []
     for skel, autos, req in plans:
-        verdict = _verdict(skel, d, _dimension(skel, d))
+        verdict = _verdict(skel, d)
         if collapsed:
             out.extend(
-                ShapeClass(skel._with_legs(profile), mult, *verdict)
-                for profile, mult in _profile_orbits(skel, autos, req, legs_total)
+                ShapeClass(skel._with_legs(p), _orbit_multiplicity(stab, p, legs_total), *verdict)
+                for p, stab in _profile_orbits(autos, req, legs_total)
             )
         else:
             out.extend(
@@ -392,13 +379,19 @@ def survivor_threshold(d: int) -> int:
     return 6 * d - 2
 
 
-def _verdict(g: Shape, d: int, dim: int | None) -> tuple:
-    """(dim, bound, survivor, note) from the dimension; depends only on g's skeleton."""
-    bound = _bound_from(g, d, dim)
-    note = None
-    if g.kind == "tree" and g.e == 0 and g.k == 2 and all(w > 0 for w in g.weights[1:]):
-        note = POSITIVE_PARTITION_NOTE
-    return dim, bound, bound is not None and bound >= survivor_threshold(d), note
+def _verdict(g: Shape, d: int) -> tuple:
+    """(dim, bound, survivor, note) of g at degree d, by the module docstring's
+    conventions; it depends only on g's skeleton, so its leg profiles share it."""
+    if g.total_weight != d:
+        raise ValueError(f"graph weights sum to {g.total_weight}, not d={d}")
+    e, k = g.e, g.k
+    if e == 1:
+        return None, None, False, None
+    dim = bound = 6 * d - 2 - k if e >= 2 else 6 * d - k
+    if e == 0 and any(w == d for v, w in enumerate(g.weights) if v not in g.core):
+        bound -= 2
+    positive = g.kind == "tree" and e == 0 and k == 2 and all(w > 0 for w in g.weights[1:])
+    return dim, bound, bound >= survivor_threshold(d), POSITIVE_PARTITION_NOTE if positive else None
 
 
 def classify(shape: Shape, d: int) -> ShapeClass:
@@ -409,14 +402,14 @@ def classify(shape: Shape, d: int) -> ShapeClass:
     weights positive survive the count but are flagged: such unions of two
     positive-degree curves are avoided geometrically.  A shape with leg
     labels covers one marked class; one with leg counts covers its profile's
-    orbit multiplicity, found from the skeleton automorphisms.
+    orbit multiplicity, found from its stabilizer in the skeleton automorphisms.
     Raises ValueError for an unstable shape or a wrong d.
     """
-    verdict = _verdict(shape, d, dimension(shape, d))
+    verdict = _verdict(_stable(shape), d)
     mult = 1
     if shape.leg_labels is None:
-        autos = shape.skeleton_automorphisms()
-        mult = _orbit_multiplicity(autos, shape.leg_counts, shape.marking_count)
+        stab = _stabilizer(shape.skeleton_automorphisms(), shape.leg_counts)
+        mult = _orbit_multiplicity(stab, shape.leg_counts, shape.marking_count)
     return ShapeClass(shape, mult, *verdict)
 
 

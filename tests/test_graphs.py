@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -105,8 +106,14 @@ class TestTreeCanonicalForm:
 
     def test_relabel_must_fix_distinguished_vertex(self):
         t = DistinguishedTree((1, 2), ((0, 1),), (0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moves a distinguished vertex"):
             t.relabeled((1, 0))
+
+    @pytest.mark.parametrize("perm", [(0, 1), (0, 1, 3), (0, 2, 1, 7), (0, 2, 2)])
+    def test_relabel_refuses_a_non_permutation(self, perm):
+        t = DistinguishedTree((0, 1, 2), ((0, 1), (0, 2)), (2, 1, 0))
+        with pytest.raises(ValueError, match=re.escape(f"relabeling {perm} is not a permutation")):
+            t.relabeled(perm)
 
     def test_equal_keys_imply_isomorphism(self):
         # Exhaustive check on a small family: every pair of 3-vertex trees
@@ -250,10 +257,12 @@ def _brute_force_automorphisms(g):
 
 class TestAutomorphismSearch:
     def test_matches_brute_force_on_every_small_skeleton(self):
+        # Each skeleton's group, a stabilizer in its shape's, is also what the
+        # search and brute force find on the skeleton itself.
         skeletons = list(_skeletons(4, 3, True))
-        assert {g.kind for g in skeletons} == {"tree", "circuit"}
-        for g in skeletons:
-            assert g.skeleton_automorphisms() == _brute_force_automorphisms(g)
+        assert {g.kind for g, _ in skeletons} == {"tree", "circuit"}
+        for g, autos in skeletons:
+            assert autos == g.skeleton_automorphisms() == _brute_force_automorphisms(g)
 
     def test_ten_vertex_tree_with_distinct_weights_is_rigid(self):
         # A star and a path hanging off the root: trying all 9! permutations

@@ -8,9 +8,9 @@ from curvecount.strata import (
     DEFAULT_CLASS_CEILING,
     POSITIVE_PARTITION_NOTE,
     ResourceGuardError,
-    _dimension,
     _marked_count,
     _min_legs,
+    _orbit_multiplicity,
     _profile_count,
     _profile_orbits,
     _shapes,
@@ -373,12 +373,12 @@ class TestBurnside:
     def test_counts_agree(self, d, k, circuits):
         legs = 3 * d - 1
         marked = profiles = orbit_mult = orbits = 0
-        for skel in _skeletons(d, k, circuits):
-            autos, req = skel.skeleton_automorphisms(), _min_legs(skel)
+        for skel, autos in _skeletons(d, k, circuits):
+            req = _min_legs(skel)
             marked += _marked_count(autos, req, legs)
             profiles += _profile_count(autos, req, legs)
-            found = list(_profile_orbits(skel, autos, req, legs))
-            orbit_mult += sum(mult for _, mult in found)
+            found = list(_profile_orbits(autos, req, legs))
+            orbit_mult += sum(_orbit_multiplicity(stab, p, legs) for p, stab in found)
             orbits += len(found)
         listed = enumerate_shapes(d, k, include_circuits=circuits)
         assert marked == orbit_mult == sum(c.multiplicity for c in listed)
@@ -399,8 +399,8 @@ class TestBurnside:
     def test_full_listing_matches_marked_count(self, full_3_2):
         legs = 8
         marked = sum(
-            _marked_count(skel.skeleton_automorphisms(), _min_legs(skel), legs)
-            for skel in _skeletons(3, 2, False)
+            _marked_count(autos, _min_legs(skel), legs)
+            for skel, autos in _skeletons(3, 2, False)
         )
         assert len(full_3_2) == marked == 61248
 
@@ -410,7 +410,7 @@ class TestBurnside:
         # the validating constructor, deduplicated by canonical key.
         legs = 3 * d - 1
         keys = set()
-        for skel in _skeletons(d, k, circuits):
+        for skel, _ in _skeletons(d, k, circuits):
             n, req = skel.n_vertices, _min_legs(skel)
             for assignment in itertools.product(range(n), repeat=legs):
                 labels = [[] for _ in range(n)]
@@ -456,7 +456,7 @@ class TestSkeletons:
             if n >= 2:
                 trial.update(_trial_skeletons(d, n, CircuitGraph))
         for k in range(max_k + 1):
-            keys = [s.canonical_key for s in _skeletons(d, k, True)]
+            keys = [s.canonical_key for s, _ in _skeletons(d, k, True)]
             expected = {key for key, g in trial.items() if g.n_vertices <= k + 1}
             assert len(keys) == len(set(keys))
             assert set(keys) == expected
@@ -471,6 +471,26 @@ class TestSkeletons:
         # unordered pairs of rooted trees hanging on a double edge.
         counts = [len(_shapes(CircuitGraph, n, 1)) for n in range(2, 7)]
         assert counts == [1, 2, 5, 11, 29]
+
+
+class TestGroupChain:
+    """A listing searches each unweighted shape's group once; every skeleton's
+    and profile's group is a stabilizer in it, with no search of its own."""
+
+    @pytest.mark.parametrize("d, k, collapsed", [(4, 2, True), (3, 1, False)])
+    def test_one_search_per_shape(self, monkeypatch, d, k, collapsed):
+        searched = []
+        for cls in (DistinguishedTree, CircuitGraph):
+
+            def counted(g, search=cls.skeleton_automorphisms):
+                searched.append(g)
+                return search(g)
+
+            monkeypatch.setattr(cls, "skeleton_automorphisms", counted)
+        enumerate_shapes(d, k, collapsed=collapsed, include_circuits=True)
+        shapes = [g for n in range(1, k + 2) for g in _shapes(DistinguishedTree, n, 0)]
+        shapes += [g for n in range(2, k + 2) for g in _shapes(CircuitGraph, n, 1)]
+        assert sorted(g.canonical_key for g in searched) == sorted(g.canonical_key for g in shapes)
 
 
 @pytest.fixture(scope="module")
@@ -541,8 +561,8 @@ class TestSurvivorFamilies:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_skeleton_verdicts_are_the_two_families(self, d):
         legs = 3 * d - 1
-        for skel in _skeletons(d, 3, True):
+        for skel, _ in _skeletons(d, 3, True):
             if sum(_min_legs(skel)) > legs:
                 continue  # no stable leg profile: the skeleton lists nothing
-            _, _, survivor, _ = _verdict(skel, d, _dimension(skel, d))
+            _, _, survivor, _ = _verdict(skel, d)
             assert survivor == _in_survivor_family(skel)
