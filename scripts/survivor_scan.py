@@ -63,7 +63,7 @@ def main():
         note = f"  [{s.note}]" if s.note else ""
         print(
             f"  {s.kind:>7} dim={s.dim} bound={s.bound} "
-            f"mult={s.multiplicity} {s.shape.canonical_key}{note}"
+            f"mult={s.multiplicity} {s.key}{note}"
         )
     flagged = sum(1 for s in survivors if s.note)
     print()

@@ -308,17 +308,15 @@ def _cmd_ed(args: argparse.Namespace) -> int:
 def _with_cells(shown, render):
     """Each listed class with ``render(kind, e, k, dim, bound, survivor, note)``.
 
-    Those seven cells are the class's verdict, which every class of one
-    skeleton shares, so ``render`` runs once per distinct verdict, not once
-    per row.
+    Those seven cells are the class's verdict, one object that every class of
+    one skeleton shares, so ``render`` runs once per verdict, not once per row.
     """
-    rendered: dict[tuple, object] = {}
+    rendered: dict[int, object] = {}
     for sc in shown:
-        g = sc.shape
-        verdict = (g.kind, g.e, g.k, sc.dim, sc.bound, sc.survivor, sc.note)
-        cells = rendered.get(verdict)
+        verdict = sc.verdict
+        cells = rendered.get(id(verdict))
         if cells is None:
-            cells = rendered[verdict] = render(*verdict)
+            cells = rendered[id(verdict)] = render(*verdict)
         yield sc, cells
 
 
@@ -379,7 +377,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
             ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"]
         )
         for sc, (kind, cells) in _with_cells(shown, _csv_cells):
-            writer.writerow((kind, sc.shape.canonical_key, *cells, sc.multiplicity))
+            writer.writerow((kind, sc.key, *cells, sc.multiplicity))
     elif args.output == "json":
         # The bytes json.dumps(doc, separators=(",", ":")) would give the whole document.
         head = {
@@ -401,7 +399,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         encode = json.encoder.encode_basestring_ascii
         sep = ""
         for sc, (start, middle, end) in _with_cells(shown, _json_parts):
-            write(f'{sep}{start}{encode(sc.shape.canonical_key)}{middle}"{sc.multiplicity}"{end}')
+            write(f'{sep}{start}{encode(sc.key)}{middle}"{sc.multiplicity}"{end}')
             sep = ","
         write(f'],"summary":{json.dumps(summary, separators=(",", ":"))}}}\n')
     else:
@@ -412,7 +410,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
             distinct = {lead for _, (lead, _) in _with_cells(shown, _plain_cells)}
             widths = [max(len(cols[i]), *(len(lead[i]) for lead in distinct)) for i in range(6)]
             wm = max(len(cols[6]), len(str(max(sc.multiplicity for sc in shown))))
-            wk = max(len(cols[7]), max(len(sc.shape.canonical_key) for sc in shown))
+            wk = max(len(cols[7]), max(len(sc.key) for sc in shown))
             header = zip(cols, [*widths, wm, wk, 0])
             write("  ".join(col.ljust(w) for col, w in header).rstrip() + "\n")
 
@@ -421,7 +419,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
                 return "".join(c.ljust(w) + "  " for c, w in zip(lead, widths)), "  " + note
 
             for sc, (lead, note) in _with_cells(shown, padded):
-                line = f"{lead}{sc.multiplicity:<{wm}}  {sc.shape.canonical_key:<{wk}}{note}"
+                line = f"{lead}{sc.multiplicity:<{wm}}  {sc.key:<{wk}}{note}"
                 write(line.rstrip() + "\n")
         write(f"classes: {len(shapes)} (listed: {len(shown)})\n")
         write(f"marked total: {marked_total}\n")

@@ -12,10 +12,15 @@ trees use the classic sorted-subtree encoding rooted at the distinguished
 vertex, and circuit graphs serialize the cycle of hanging rooted trees in
 its lexicographically minimal rotation or reflection.  Equal canonical
 strings mean isomorphic objects (isomorphisms fix vertex 0 for trees), so
-deduplication is a set membership test.  The key is each class's
-``canonical_key`` cached property: a graph from the validating constructor
-computes it on first read, and a shape built from a validated skeleton by
-``_with_legs`` gets it at construction, through the same function.
+deduplication is a set membership test.  A key is built from a skeleton
+(its weights and edges) and one legs cell per vertex by the species'
+``_key``; the ``canonical_key`` cached property passes a graph's own legs,
+and stratum listings pass each class's legs to its skeleton, so a listed
+class needs no graph of its own.
+
+The grammar is read both ways: ``from_key`` parses a canonical string back
+into the graph, through the validating constructor, and refuses any string
+that is not that graph's canonical key.
 
 Grammar of the canonical strings (stable; also used by the CLI):
 
@@ -30,10 +35,11 @@ Grammar of the canonical strings (stable; also used by the CLI):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = ["DistinguishedTree", "CircuitGraph"]
+__all__ = ["DistinguishedTree", "CircuitGraph", "from_key"]
 
 
 def _normalized_edges(edges) -> tuple[tuple[int, int], ...]:
@@ -108,6 +114,11 @@ def _apply(perm, vector) -> tuple:
     for i, value in enumerate(vector):
         out[perm[i]] = value
     return tuple(out)
+
+
+def _label_cell(labels) -> str:
+    """The grammar's ``legs`` cell of one vertex's ascending leg labels."""
+    return "{" + ",".join(map(str, labels)) + "}"
 
 
 def _skeleton_automorphisms(g) -> tuple[tuple[int, ...], ...]:
@@ -198,12 +209,9 @@ class _MarkedGraph:
         deg = sum(1 for a, b in self.edges if a == v or b == v)
         return deg + self.leg_counts[v]
 
-    def _terms(self) -> list[str]:
-        """The grammar's ``term`` of each vertex in ``_key_plan``, over its subtree."""
-        labels = self.leg_labels
-        legs = self.leg_counts if labels is None else [
-            "{" + ",".join(map(str, own)) + "}" for own in labels
-        ]
+    def _terms(self, legs) -> list[str]:
+        """The grammar's ``term`` of each vertex in ``_key_plan``, over its
+        subtree, with ``legs[v]`` as vertex v's legs cell."""
         weights = self.weights
         terms = [""] * len(weights)
         for v, kids in self._key_plan:
@@ -211,27 +219,10 @@ class _MarkedGraph:
             terms[v] = f"({weights[v]};{legs[v]};[{subtrees}])"
         return terms
 
-    def _with_legs(self, leg_counts, leg_labels=None):
-        """This validated skeleton with legs placed (normalized tuples), built
-        without re-validation.  It shares the skeleton's weights, edges and
-        the leg-free cached values ``_shared``; its canonical key is built
-        here, through the class's ``canonical_key`` function, and stored as
-        that cached property's value, so every later read is a plain
-        attribute lookup.
-        """
-        cls = type(self)
-        g = object.__new__(cls)
-        # One attribute at a time, fields first as the validating constructor
-        # sets them, keeps a key-sharing __dict__: half the size of a bulk update's.
-        put = object.__setattr__
-        put(g, "weights", self.weights)
-        put(g, "edges", self.edges)
-        put(g, "leg_counts", leg_counts)
-        put(g, "leg_labels", leg_labels)
-        for name in self._shared:
-            put(g, name, getattr(self, name))
-        put(g, "canonical_key", cls.canonical_key.func(g))
-        return g
+    def _own_key(self) -> str:
+        """This graph's key: its species' ``_key`` of its own legs cells."""
+        labels = self.leg_labels
+        return self._key(self.leg_counts if labels is None else list(map(_label_cell, labels)))
 
     def relabeled(self, perm):
         """The same graph with vertex i renamed perm[i]; perm must be a
@@ -258,7 +249,6 @@ class DistinguishedTree(_MarkedGraph):
     kind = "tree"
     distinguished = (0,)
     core = (0,)
-    _shared = ("e", "_key_plan")
 
     def __post_init__(self):
         super().__post_init__()
@@ -272,10 +262,14 @@ class DistinguishedTree(_MarkedGraph):
     def _key_plan(self):
         return _key_plan(_adjacency(self.n_vertices, self.edges), (0,))
 
+    def _key(self, legs) -> str:
+        """The key of this skeleton with ``legs[v]`` as vertex v's legs cell."""
+        return self._terms(legs)[0]
+
     @cached_property
     def canonical_key(self) -> str:
         """Root-fixed canonical serialization; equal keys mean isomorphic."""
-        return self._terms()[0]
+        return self._own_key()
 
     def skeleton_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All vertex permutations fixing 0 that preserve weights and edges.
@@ -297,7 +291,6 @@ class CircuitGraph(_MarkedGraph):
 
     kind = "circuit"
     distinguished = ()
-    _shared = ("circuit", "e", "_key_plan")
 
     def __post_init__(self):
         super().__post_init__()
@@ -346,10 +339,10 @@ class CircuitGraph(_MarkedGraph):
         hanging = [(a, b) for a, b in self.edges if not (a in on_circuit and b in on_circuit)]
         return _key_plan(_adjacency(self.n_vertices, hanging), self.circuit)
 
-    @cached_property
-    def canonical_key(self) -> str:
-        """Minimal rotation/reflection of the cycle of hanging-tree terms."""
-        terms = self._terms()
+    def _key(self, legs) -> str:
+        """The key of this skeleton with ``legs[v]`` as vertex v's legs cell:
+        the minimal rotation/reflection of the cycle of hanging-tree terms."""
+        terms = self._terms(legs)
         terms = [terms[v] for v in self.circuit]
         m = len(terms)
         best = None
@@ -360,6 +353,69 @@ class CircuitGraph(_MarkedGraph):
                     best = cand
         return "C[" + "|".join(best) + "]"
 
+    @cached_property
+    def canonical_key(self) -> str:
+        """Canonical serialization; equal keys mean isomorphic."""
+        return self._own_key()
+
     def skeleton_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All weight- and edge-multiset-preserving vertex permutations."""
         return _skeleton_automorphisms(self)
+
+
+# One token of a term sequence: a term's head up to its children (weight and
+# legs cell captured), the end of a term, or a separator.
+_TOKEN = re.compile(r"\(([0-9]+);([0-9]+|\{[0-9,]*\});\[|\]\)|[,|]")
+
+
+def _parse(key: str) -> DistinguishedTree | CircuitGraph:
+    """The graph ``key`` spells under the grammar, vertices numbered in reading
+    order; ValueError where the grammar cannot be read."""
+    circuit = key.startswith("C[") and key.endswith("]")
+    body = key[2:-1] if circuit else key
+    weights, cells, edges, ring, open_terms = [], [], [], [], []
+    pos = 0
+    while pos < len(body):
+        token = _TOKEN.match(body, pos)
+        if token is None:
+            raise ValueError(f"unreadable at offset {pos + 2 * circuit}")
+        pos = token.end()
+        if token[1] is not None:
+            v = len(weights)
+            weights.append(int(token[1]))
+            cells.append(token[2])
+            if open_terms:
+                edges.append((open_terms[-1], v))
+            else:
+                ring.append(v)
+            open_terms.append(v)
+        elif token[0] == "])":
+            if not open_terms:
+                raise ValueError("a term closes that was never opened")
+            open_terms.pop()
+    if open_terms:
+        raise ValueError("a term is never closed")
+    if circuit:
+        edges += [(ring[i - 1], ring[i]) for i in range(len(ring))]  # a double edge for two
+    labelled = [cell.startswith("{") for cell in cells]
+    if any(labelled) and not all(labelled):
+        raise ValueError("leg counts and leg labels are mixed")
+    labels = None
+    if any(labelled):
+        labels = [tuple(map(int, cell[1:-1].split(","))) if cell != "{}" else () for cell in cells]
+    counts = list(map(int, cells)) if labels is None else [len(own) for own in labels]
+    return (CircuitGraph if circuit else DistinguishedTree)(weights, edges, counts, labels)
+
+
+def from_key(key: str) -> DistinguishedTree | CircuitGraph:
+    """The graph whose ``canonical_key`` is ``key``: the grammar read backwards,
+    built by the validating constructor.  Any other string, including one that
+    spells a graph in a non-canonical way (children unsorted, a circuit not in
+    its minimal rotation), is refused with a ValueError naming it."""
+    try:
+        g = _parse(key)
+    except ValueError as exc:
+        raise ValueError(f"not a canonical key: {key!r} ({exc})") from None
+    if g.canonical_key != key:
+        raise ValueError(f"not a canonical key: {key!r} (its graph's key is {g.canonical_key!r})")
+    return g

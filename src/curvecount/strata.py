@@ -10,14 +10,15 @@ conditions).
 
 Enumeration goes by skeleton, the weighted graph before legs are placed.
 Each unweighted shape is built, and its group searched, once per isomorphism
-class; a skeleton's group and a leg profile's are stabilizers in the group
-above (``_stabilizer``), and one rule, ``_least_in_orbit``, picks the
-weightings, leg profiles and leg labellings that are built: those least in
-their orbit.  Each skeleton is validated once, its exact class count feeds
-the guard, its verdict is found once, and each listed shape is built from it
-without re-validation, its canonical key built with it (``_with_legs``).
-Every listed class is one ``ShapeClass`` record carrying its shape, its
-multiplicity and that verdict, which is all a row of the listing needs.
+class.  One pass over a group, ``_stabilizer_if_least``, picks the
+weightings, leg profiles and leg labellings that are listed (those least in
+their orbit) and gives a kept weighting's or profile's stabilizer, which is
+the group one level down.  Each skeleton is validated once, its exact class
+count feeds the guard, and its ``Verdict`` is found once.  A listed class is
+a lean ``ShapeClass``: its canonical key, built by the skeleton from the
+class's leg cells with no graph of its own, its multiplicity, and a
+reference to its skeleton's verdict, which is all a row of the listing
+needs.  ``ShapeClass.shape`` parses the key back into a graph on request.
 
 Dimension conventions, with e the weight of the graph's core (the
 distinguished vertex of a tree, the circuit of a circuit graph) and k one
@@ -34,8 +35,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
-from .graphs import CircuitGraph, DistinguishedTree, _apply
+from .graphs import CircuitGraph, DistinguishedTree, _apply, _label_cell, from_key
 
 __all__ = [
     "DEFAULT_CLASS_CEILING",
@@ -43,6 +46,7 @@ __all__ = [
     "POSITIVE_PARTITION_NOTE",
     "ResourceGuardError",
     "ShapeClass",
+    "Verdict",
     "is_stable",
     "dimension",
     "deformation_bound",
@@ -91,7 +95,7 @@ def _stable(g: Shape) -> Shape:
 
 def dimension(g: Shape, d: int) -> int | None:
     """Stratum dimension, or None for the empty stratum (e = 1)."""
-    return _verdict(_stable(g), d)[0]
+    return _verdict(_stable(g), d).dim
 
 
 def deformation_bound(g: Shape, d: int) -> int | None:
@@ -100,41 +104,52 @@ def deformation_bound(g: Shape, d: int) -> int | None:
     When e = 0 and a vertex off the core carries the whole degree d, the stratum's
     image under deformation loses 2 dimensions; otherwise the bound is the dimension.
     """
-    return _verdict(_stable(g), d)[1]
+    return _verdict(_stable(g), d).bound
 
 
-@dataclass(frozen=True, slots=True)
-class ShapeClass:
-    """One isomorphism class of shapes, how many marked classes it covers,
-    and its stratum's verdict.
-
-    In collapsed mode the shape carries leg counts and multiplicity is the
-    number of full marked classes with that leg profile (up to symmetry);
-    in full mode the shape carries leg labels and multiplicity is 1.
-    ``dim``, ``bound``, ``survivor`` and ``note`` are the stratum dimension,
-    the bound after deformation, whether that bound reaches
+class Verdict(NamedTuple):
+    """What a stratum's skeleton decides at degree d: its species, core
+    weight e and vertex count less one k, then the stratum dimension, the
+    bound after deformation, whether that bound reaches
     ``survivor_threshold(d)``, and the positive-partition note or None
-    (see ``classify``).
-    """
+    (see ``classify``).  Every class of one skeleton shares it."""
 
-    shape: Shape
-    multiplicity: int
+    kind: str
+    e: int
+    k: int
     dim: int | None
     bound: int | None
     survivor: bool
     note: str | None
 
-    @property
-    def kind(self) -> str:
-        return self.shape.kind
+
+@dataclass(frozen=True, slots=True)
+class ShapeClass:
+    """One isomorphism class of shapes: its canonical key, how many marked
+    classes it covers, and its stratum's verdict.
+
+    In collapsed mode the key carries leg counts and multiplicity is the
+    number of full marked classes with that leg profile (up to symmetry);
+    in full mode the key carries leg labels and multiplicity is 1.  The
+    verdict's fields read as attributes of the class; ``shape`` parses the
+    key back into its graph (``graphs.from_key``), a new one on each read.
+    """
+
+    key: str
+    multiplicity: int
+    verdict: Verdict
 
     @property
-    def e(self) -> int:
-        return self.shape.e
+    def shape(self) -> Shape:
+        return from_key(self.key)
 
-    @property
-    def k(self) -> int:
-        return self.shape.k
+    kind = property(attrgetter("verdict.kind"))
+    e = property(attrgetter("verdict.e"))
+    k = property(attrgetter("verdict.k"))
+    dim = property(attrgetter("verdict.dim"))
+    bound = property(attrgetter("verdict.bound"))
+    survivor = property(attrgetter("verdict.survivor"))
+    note = property(attrgetter("verdict.note"))
 
 
 def _compositions(total: int, parts: int):
@@ -172,14 +187,18 @@ def _shapes(cls, n: int, extra_edges: int) -> list[Shape]:
     return list(shapes.values())
 
 
-def _least_in_orbit(autos, vector) -> bool:
-    """True iff ``vector`` is the least of its orbit under the group ``autos``."""
-    return all(_apply(sigma, vector) >= vector for sigma in autos)
-
-
-def _stabilizer(autos, vector) -> tuple:
-    """The elements of the group ``autos`` that fix ``vector``, in their order."""
-    return tuple(sigma for sigma in autos if _apply(sigma, vector) == vector)
+def _stabilizer_if_least(autos, vector) -> tuple | None:
+    """The elements of the group ``autos`` that fix ``vector``, in their
+    order, or None if ``vector`` is not the least of its orbit under
+    ``autos``; one pass, each element applied once."""
+    stab = []
+    for sigma in autos:
+        image = _apply(sigma, vector)
+        if image < vector:
+            return None
+        if image == vector:
+            stab.append(sigma)
+    return tuple(stab)
 
 
 def _cycle_lengths(perm) -> list[int]:
@@ -266,10 +285,9 @@ def _profile_orbits(autos, req, legs_total: int):
     n = len(req)
     for comp in _compositions(free, n):
         p = tuple(comp[i] + req[i] for i in range(n))
-        if len(autos) == 1:
-            yield p, autos
-        elif _least_in_orbit(autos, p):
-            yield p, _stabilizer(autos, p)
+        stab = autos if len(autos) == 1 else _stabilizer_if_least(autos, p)
+        if stab is not None:
+            yield p, stab
 
 
 def _label_sets(legs: tuple[int, ...], profile):
@@ -282,15 +300,15 @@ def _label_sets(legs: tuple[int, ...], profile):
         yield from ((first,) + tail for tail in _label_sets(rest, profile[1:]))
 
 
-def _labelled_classes(skel: Shape, autos, req, legs_total: int):
-    """Yield one shape per class of labelled leg assignments.  Each class has
-    labellings whose profile is the least of its orbit; those form one orbit
-    under that profile's stabilizer, and its least labelling is the one built."""
+def _labelled_keys(skel: Shape, autos, req, legs_total: int):
+    """Yield the key of each class of labelled leg assignments.  Each class
+    has labellings whose profile is the least of its orbit; those form one
+    orbit under that profile's stabilizer, and its least labelling is keyed."""
     legs = tuple(range(1, legs_total + 1))
     for profile, stab in _profile_orbits(autos, req, legs_total):
         for labels in _label_sets(legs, profile):
-            if len(stab) == 1 or _least_in_orbit(stab, labels):
-                yield skel._with_legs(profile, labels)
+            if len(stab) == 1 or _stabilizer_if_least(stab, labels) is not None:
+                yield skel._key(list(map(_label_cell, labels)))
 
 
 def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
@@ -305,10 +323,11 @@ def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
             for shape in _shapes(cls, n, extra_edges):
                 autos = shape.skeleton_automorphisms()
                 for w in _compositions(d, n):
-                    if _least_in_orbit(autos, w):
+                    stab = _stabilizer_if_least(autos, w)
+                    if stab is not None:
                         skel = cls(w, shape.edges, shape.leg_counts)
                         if skel.e != 1:
-                            yield skel, _stabilizer(autos, w)
+                            yield skel, stab
 
 
 def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:
@@ -359,17 +378,17 @@ def enumerate_shapes(
         verdict = _verdict(skel, d)
         if collapsed:
             out.extend(
-                ShapeClass(skel._with_legs(p), _orbit_multiplicity(stab, p, legs_total), *verdict)
+                ShapeClass(skel._key(p), _orbit_multiplicity(stab, p, legs_total), verdict)
                 for p, stab in _profile_orbits(autos, req, legs_total)
             )
         else:
             out.extend(
-                ShapeClass(g, 1, *verdict) for g in _labelled_classes(skel, autos, req, legs_total)
+                ShapeClass(key, 1, verdict) for key in _labelled_keys(skel, autos, req, legs_total)
             )
     # Ordered by (kind, key) in two stable sorts, so the sort keys are
     # references to strings the classes hold, not a new tuple per class.
-    out.sort(key=lambda sc: sc.shape.canonical_key)
-    out.sort(key=lambda sc: sc.shape.kind)
+    out.sort(key=lambda sc: sc.key)
+    out.sort(key=lambda sc: sc.verdict.kind)
     return out
 
 
@@ -379,19 +398,20 @@ def survivor_threshold(d: int) -> int:
     return 6 * d - 2
 
 
-def _verdict(g: Shape, d: int) -> tuple:
-    """(dim, bound, survivor, note) of g at degree d, by the module docstring's
-    conventions; it depends only on g's skeleton, so its leg profiles share it."""
+def _verdict(g: Shape, d: int) -> Verdict:
+    """The ``Verdict`` of g at degree d, by the module docstring's conventions;
+    it depends only on g's skeleton, so its leg profiles share it."""
     if g.total_weight != d:
         raise ValueError(f"graph weights sum to {g.total_weight}, not d={d}")
-    e, k = g.e, g.k
+    kind, e, k = g.kind, g.e, g.k
     if e == 1:
-        return None, None, False, None
+        return Verdict(kind, e, k, None, None, False, None)
     dim = bound = 6 * d - 2 - k if e >= 2 else 6 * d - k
     if e == 0 and any(w == d for v, w in enumerate(g.weights) if v not in g.core):
         bound -= 2
-    positive = g.kind == "tree" and e == 0 and k == 2 and all(w > 0 for w in g.weights[1:])
-    return dim, bound, bound >= survivor_threshold(d), POSITIVE_PARTITION_NOTE if positive else None
+    positive = kind == "tree" and e == 0 and k == 2 and all(w > 0 for w in g.weights[1:])
+    note = POSITIVE_PARTITION_NOTE if positive else None
+    return Verdict(kind, e, k, dim, bound, bound >= survivor_threshold(d), note)
 
 
 def classify(shape: Shape, d: int) -> ShapeClass:
@@ -402,15 +422,17 @@ def classify(shape: Shape, d: int) -> ShapeClass:
     weights positive survive the count but are flagged: such unions of two
     positive-degree curves are avoided geometrically.  A shape with leg
     labels covers one marked class; one with leg counts covers its profile's
-    orbit multiplicity, found from its stabilizer in the skeleton automorphisms.
-    Raises ValueError for an unstable shape or a wrong d.
+    orbit multiplicity, found from the stabilizer of its orbit's least profile
+    in the skeleton automorphisms.  Raises ValueError for an unstable shape or
+    a wrong d.
     """
     verdict = _verdict(_stable(shape), d)
     mult = 1
     if shape.leg_labels is None:
-        stab = _stabilizer(shape.skeleton_automorphisms(), shape.leg_counts)
-        mult = _orbit_multiplicity(stab, shape.leg_counts, shape.marking_count)
-    return ShapeClass(shape, mult, *verdict)
+        autos = shape.skeleton_automorphisms()
+        least = min(_apply(sigma, shape.leg_counts) for sigma in autos)
+        mult = _orbit_multiplicity(_stabilizer_if_least(autos, least), least, shape.marking_count)
+    return ShapeClass(shape.canonical_key, mult, verdict)
 
 
 def classify_survivors(

@@ -339,6 +339,12 @@ PINNED_LISTINGS = {
         "cf865eb06daeaae96be54731122f64c1d4facb2df290f53449ff3edf8632317f",
     "strata --d 3 --max-extra 2 --full --survivors-only --format json":
         "61de7929fbf00ebd6fbfb6c1985cf8ac29634674341c6cc3c029549ee2376b82",
+    "strata --d 4 --max-extra 1 --full --include-circuits":
+        "e24c89c404a46610f376caa7dd5bd0d0b981c82f535dcdc6e83d7ae7a1ecdcae",
+    "strata --d 4 --max-extra 1 --full --include-circuits --format json":
+        "95ae99482ec7823a74f8d59b42c6879aaec38eb74c4dda6988c03dc13a61dede",
+    "strata --d 4 --max-extra 1 --full --include-circuits --format csv":
+        "6cc0def6e440ec7c4bd68d7f093784e663f45e12764fddfa215afad49379f29b",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecount.graphs import CircuitGraph, DistinguishedTree, _normalized_edges
+from curvecount.graphs import CircuitGraph, DistinguishedTree, _normalized_edges, from_key
 from curvecount.strata import _skeletons
 
 
@@ -277,3 +277,43 @@ class TestAutomorphismSearch:
         t = DistinguishedTree((0, 1, 1, 1, 1), [(0, 1), (0, 2), (0, 3), (0, 4)], (0,) * 5)
         perms = t.skeleton_automorphisms()
         assert perms == tuple((0, *p) for p in itertools.permutations((1, 2, 3, 4)))
+
+
+class TestFromKey:
+    """``from_key`` reads the key grammar backwards and accepts exactly the
+    strings that are their graph's canonical key."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "(0;1;[(2;4;[]),(1;3;[])])",  # children not sorted
+            "C[(3;0;[])|(0;1;[])]",  # not the minimal rotation
+            "C[(1;0;[])|(1;0;[])|(1;0;[(0;3;[]),(0;2;[])])]",  # hanging children not sorted
+            "(3;8;[])x",  # trailing text
+            "(3;8;[]) ",
+            "",
+            "(3;8;[]",  # unbalanced brackets
+            "(3;8;[])])",
+            "C[(0;1;[])|(3;0;[])",
+            "(a;8;[])",  # weight not an integer
+            "(1.5;8;[])",
+            "(-1;8;[])",
+            "(03;8;[])",  # leading zero: not the key's spelling
+            "(0;{1};[(3;{3,2};[])])",  # labels not ascending
+            "(0;1;[(3;{2,3};[])])",  # counts and labels mixed
+            "C[(3;0;[])]",  # a one-vertex circuit is a self-loop
+        ],
+    )
+    def test_refuses_non_canonical_strings(self, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            from_key(key)
+
+    def test_relabelled_graphs_read_back(self):
+        rng = random.Random(5)
+        for n in range(1, 7):
+            t = _random_tree(rng, n)
+            u = t.relabeled(_random_perm_fixing_zero(rng, n))
+            assert from_key(u.canonical_key).canonical_key == t.canonical_key
+        g = CircuitGraph((1, 0, 2, 0), ((0, 1), (1, 2), (2, 0), (2, 3)), (0, 1, 0, 2), ((), (4,), (), (1, 2)))
+        h = from_key(g.canonical_key)
+        assert (h.kind, h.weights, h.leg_labels) == ("circuit", (0, 1, 2, 0), ((4,), (), (), (1, 2)))

@@ -3,11 +3,12 @@ import time
 
 import pytest
 
-from curvecount.graphs import CircuitGraph, DistinguishedTree
+from curvecount.graphs import CircuitGraph, DistinguishedTree, _MarkedGraph, from_key
 from curvecount.strata import (
     DEFAULT_CLASS_CEILING,
     POSITIVE_PARTITION_NOTE,
     ResourceGuardError,
+    ShapeClass,
     _marked_count,
     _min_legs,
     _orbit_multiplicity,
@@ -216,11 +217,10 @@ class TestEnumerateCircuits:
 
     def test_triangle_with_unit_weights_full(self):
         def is_unit_triangle(c):
-            return (
-                c.kind == "circuit"
-                and c.shape.weights == (1, 1, 1)
-                and len(c.shape.circuit) == 3
-            )
+            if c.kind != "circuit":
+                return False
+            g = c.shape
+            return g.weights == (1, 1, 1) and len(g.circuit) == 3
 
         full = [
             c for c in enumerate_shapes(3, 2, collapsed=False, include_circuits=True)
@@ -394,7 +394,7 @@ class TestBurnside:
         # stabilizer: no class dropped, none listed twice.
         if marked <= DEFAULT_CLASS_CEILING:
             full = enumerate_shapes(d, k, collapsed=False, include_circuits=circuits)
-            assert len({c.shape.canonical_key for c in full}) == len(full) == marked
+            assert len({c.key for c in full}) == len(full) == marked
 
     def test_full_listing_matches_marked_count(self, full_3_2):
         legs = 8
@@ -499,8 +499,9 @@ def full_3_2():
 
 
 class TestRebuild:
-    """Shapes built from their skeleton without re-validation are exactly
-    the ones the validating constructor builds from the same fields."""
+    """A listed class read back as a graph is the one the validating
+    constructor builds from the same fields, and ``classify`` gives that
+    graph the listed record."""
 
     def _check(self, classes, d):
         for sc in classes:
@@ -526,21 +527,38 @@ class TestRebuild:
             classify(sc.shape, 4)
 
 
-class TestEagerKey:
-    """``_with_legs`` builds each listed shape's key with the shape; it is the
-    key the validating constructor gives the same fields.  Full mode at d = 4
-    stops at one extra vertex: two exceed the default class ceiling."""
+class TestClassRecord:
+    """A listed class is its canonical key, its multiplicity and a reference to
+    its skeleton's verdict; ``shape`` reads the key back through ``from_key``.
+    Full mode at d = 4 stops at one extra vertex: two exceed the default class
+    ceiling."""
 
     @pytest.mark.parametrize(
         "d, k, collapsed", [(3, 2, True), (3, 2, False), (4, 2, True), (4, 1, False)]
     )
-    def test_eager_key_is_the_constructors_key(self, d, k, collapsed):
+    def test_key_round_trip(self, d, k, collapsed):
         listed = enumerate_shapes(d, k, collapsed=collapsed, include_circuits=True)
         assert {c.kind for c in listed} == {"tree", "circuit"}
+        assert listed[-1].shape == from_key(listed[-1].key)
         for sc in listed:
-            s = sc.shape
-            assert "canonical_key" in vars(s)
-            assert type(s)(s.weights, s.edges, s.leg_counts, s.leg_labels).canonical_key == s.canonical_key
+            g = sc.shape
+            assert g.canonical_key == sc.key
+            assert classify(g, d) == sc
+
+    @pytest.mark.parametrize("d, k, collapsed", [(4, 2, True), (3, 1, False)])
+    def test_classes_hold_no_graph_and_share_verdicts(self, d, k, collapsed):
+        listed = enumerate_shapes(d, k, collapsed=collapsed, include_circuits=True)
+        by_skeleton = {}
+        for sc in listed:
+            assert not hasattr(sc, "__dict__")
+            held = [getattr(sc, name) for name in ShapeClass.__slots__]
+            assert not any(isinstance(x, _MarkedGraph) for x in [*held, *sc.verdict])
+            g = sc.shape
+            bare = type(g)(g.weights, g.edges, (0,) * g.n_vertices).canonical_key
+            by_skeleton.setdefault(bare, []).append(sc.verdict)
+        for verdicts in by_skeleton.values():
+            assert all(v is verdicts[0] for v in verdicts)
+        assert len({id(v[0]) for v in by_skeleton.values()}) == len(by_skeleton)
 
 
 def _in_survivor_family(g):
@@ -564,5 +582,4 @@ class TestSurvivorFamilies:
         for skel, _ in _skeletons(d, 3, True):
             if sum(_min_legs(skel)) > legs:
                 continue  # no stable leg profile: the skeleton lists nothing
-            _, _, survivor, _ = _verdict(skel, d)
-            assert survivor == _in_survivor_family(skel)
+            assert _verdict(skel, d).survivor == _in_survivor_family(skel)
