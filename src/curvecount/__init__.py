@@ -2,89 +2,12 @@
 stratum combinatorics behind them, and the vanishing-order criterion for
 nets of polynomials."""
 
-from .counts import (
-    CacheError,
-    DivisibilityRow,
-    ExactDivisionError,
-    JClass,
-    RecursionTable,
-    binomial,
-    divisibility_report,
-    elliptic_count,
-    load_table,
-    rational_count,
-    save_table,
-    zt_invariant,
-)
-from .graphs import CircuitGraph, DistinguishedTree, from_key
-from .series import (
-    PolySeries,
-    RankDeficientError,
-    RootSumRelation,
-    SeriesFormatError,
-    VanishingSequence,
-    root_sum,
-    root_sum_criterion,
-    root_sum_relation,
-    series_from_json,
-    series_to_json,
-    translate,
-    vanishing_sequence,
-)
-from .strata import (
-    DEFAULT_CLASS_CEILING,
-    MAX_EXTRA_VERTICES,
-    ResourceGuardError,
-    ShapeClass,
-    Verdict,
-    classify,
-    classify_survivors,
-    deformation_bound,
-    dimension,
-    enumerate_shapes,
-    is_stable,
-)
+from . import counts, graphs, series, strata
+from .counts import *
+from .graphs import *
+from .series import *
+from .strata import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "binomial",
-    "rational_count",
-    "elliptic_count",
-    "zt_invariant",
-    "divisibility_report",
-    "JClass",
-    "RecursionTable",
-    "DivisibilityRow",
-    "CacheError",
-    "ExactDivisionError",
-    "load_table",
-    "save_table",
-    "DistinguishedTree",
-    "CircuitGraph",
-    "from_key",
-    "is_stable",
-    "dimension",
-    "deformation_bound",
-    "enumerate_shapes",
-    "classify",
-    "classify_survivors",
-    "ShapeClass",
-    "Verdict",
-    "ResourceGuardError",
-    "DEFAULT_CLASS_CEILING",
-    "MAX_EXTRA_VERTICES",
-    "PolySeries",
-    "VanishingSequence",
-    "RootSumRelation",
-    "RankDeficientError",
-    "SeriesFormatError",
-    "vanishing_sequence",
-    "root_sum_relation",
-    "root_sum_criterion",
-    "root_sum",
-    "translate",
-    "series_from_json",
-    "series_to_json",
-]
+__all__ = ["__version__", *counts.__all__, *graphs.__all__, *series.__all__, *strata.__all__]

@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -232,7 +233,8 @@ def _save_if_requested(args: argparse.Namespace, table: RecursionTable) -> None:
         save_table(table, args.cache)
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
+def _emit_csv(header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write the header, then each row of ``rows`` as it is drawn."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -372,12 +374,13 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     write = sys.stdout.write
 
     if args.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"]
+        _emit_csv(
+            ["kind", "shape", "e", "k", "dim", "bound", "survivor", "note", "multiplicity"],
+            (
+                (kind, sc.key, *cells, sc.multiplicity)
+                for sc, (kind, cells) in _with_cells(shown, _csv_cells)
+            ),
         )
-        for sc, (kind, cells) in _with_cells(shown, _csv_cells):
-            writer.writerow((kind, sc.key, *cells, sc.multiplicity))
     elif args.output == "json":
         # The bytes json.dumps(doc, separators=(",", ":")) would give the whole document.
         head = {

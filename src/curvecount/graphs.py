@@ -255,8 +255,6 @@ class DistinguishedTree(_MarkedGraph):
         n = self.n_vertices
         if len(self.edges) != n - 1 or not _is_connected(n, self.edges):
             raise ValueError("edge set is not a tree on the given vertices")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("parallel edges are not allowed in a tree")
 
     @cached_property
     def _key_plan(self):

@@ -6,8 +6,8 @@ vanishing sequence at any point (infinity included) by exact row
 reduction, and decides the root-sum relation: whether a single constant K
 satisfies beta_{d-1} + K*beta_d = 0 across the whole net, equivalently
 whether all full-degree members share the same sum of roots.  The
-relation is read off the echelon form that gives the orders at infinity:
-it holds iff 1 is not an order there.
+relation is read off the vanishing sequence at infinity: it holds iff 1 is
+not an order there, and K is then the root sum of any full-degree member.
 
 Coefficients are fractions.Fraction at the edges: parsing, ``PolySeries``,
 the constant K and ``translate``'s result.  Vanishing orders and the rank
@@ -59,8 +59,9 @@ class PolySeries:
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"ambient degree must be >= 1, got {self.degree}")
+        d = self.degree
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ValueError(f"ambient degree must be an integer >= 1, got {d!r}")
         rows = tuple(
             tuple(
                 x if type(x) is Fraction else _rational(x, f"basis[{i}][{j}]")
@@ -171,30 +172,23 @@ def _echelon_pivots(mat: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _rows_at(series: PolySeries, point: Fraction | int | str | None) -> list[list[int]]:
-    """The net's integer rows recentred at ``point``.  None is infinity, where
-    a polynomial vanishes to order d - deg: rows are reversed, column j is b_{d-j}."""
-    rows = [_integer_row(row)[1] for row in series.basis]
-    if point is None:
-        return [row[::-1] for row in rows]
-    c = _rational(point, "point")
-    return [_shifted(row, c.numerator, c.denominator) for row in rows]
-
-
-def _rank3_pivots(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of ``rows`` (reduced in place); raises unless there are 3."""
-    pivots = _echelon_pivots(rows)
-    if len(pivots) < 3:
-        raise RankDeficientError("basis rows are linearly dependent; rank < 3")
-    return pivots
-
-
 def vanishing_sequence(
     series: PolySeries, point: Fraction | int | str | None = None
 ) -> VanishingSequence:
-    """The orders of vanishing of the net at ``point`` (None is infinity): the
-    pivot columns of the echelon form of the recentred rows."""
-    return VanishingSequence(tuple(_rank3_pivots(_rows_at(series, point))))
+    """The orders of vanishing of the net at ``point``: the pivot columns of
+    the echelon form of its integer rows recentred there.  None is infinity,
+    where a polynomial vanishes to order d - deg: rows are reversed, column
+    j is b_{d-j}."""
+    rows = [_integer_row(row)[1] for row in series.basis]
+    if point is None:
+        rows = [row[::-1] for row in rows]
+    else:
+        c = _rational(point, "point")
+        rows = [_shifted(row, c.numerator, c.denominator) for row in rows]
+    pivots = _echelon_pivots(rows)
+    if len(pivots) < 3:
+        raise RankDeficientError("basis rows are linearly dependent; rank < 3")
+    return VanishingSequence(tuple(pivots))
 
 
 def root_sum(coeffs) -> Fraction | None:
@@ -208,20 +202,19 @@ def root_sum(coeffs) -> Fraction | None:
 def root_sum_relation(series: PolySeries) -> RootSumRelation | None:
     """The shared K with b_{d-1} + K*b_d = 0 on the net, if one exists.
 
-    Read off the echelon form at infinity, where column 0 holds b_d and
-    column 1 holds b_{d-1}: the relation holds iff 1 is not an order
-    there.  If 0 is a pivot, its row is never changed by the reduction
-    and K = -row[1]/row[0]; if 0 is not a pivot either, both top
-    coefficients vanish identically and the degenerate marker is
-    returned.  Returns None when no single K works.
+    Read off the vanishing sequence at infinity, where order 0 comes from
+    b_d and order 1 from b_{d-1}: the relation holds iff 1 is not an
+    order.  If 0 is an order, some basis row has b_d != 0 and K is that
+    row's root sum; if 0 is not an order either, both top coefficients
+    vanish identically and the degenerate marker is returned.  Returns
+    None when no single K works.
     """
-    rows = _rows_at(series, None)
-    pivots = _rank3_pivots(rows)
-    if 1 in pivots:
+    orders = vanishing_sequence(series).orders
+    if 1 in orders:
         return None
-    if pivots[0] != 0:
+    if orders[0] != 0:
         return RootSumRelation(Fraction(0), degenerate=True)
-    return RootSumRelation(Fraction(-rows[0][1], rows[0][0]))
+    return RootSumRelation(root_sum(next(row for row in series.basis if row[-1])))
 
 
 def root_sum_criterion(series: PolySeries) -> bool:

@@ -190,7 +190,11 @@ def _shapes(cls, n: int, extra_edges: int) -> list[Shape]:
 def _stabilizer_if_least(autos, vector) -> tuple | None:
     """The elements of the group ``autos`` that fix ``vector``, in their
     order, or None if ``vector`` is not the least of its orbit under
-    ``autos``; one pass, each element applied once."""
+    ``autos``; one pass, each element applied once.  A one-element group is
+    the identity alone, which fixes every vector and leaves it least, so it
+    is returned without a pass."""
+    if len(autos) == 1:
+        return autos
     stab = []
     for sigma in autos:
         image = _apply(sigma, vector)
@@ -276,16 +280,14 @@ def _orbit_multiplicity(stab, profile, legs_total: int) -> int:
 
 def _profile_orbits(autos, req, legs_total: int):
     """Yield (profile, stabilizer) per orbit of valid leg-count profiles: the
-    orbit's least profile and its stabilizer in ``autos``.  On a rigid
-    skeleton every profile is its own orbit, with ``autos`` as stabilizer.
-    """
+    orbit's least profile and its stabilizer in ``autos``."""
     free = legs_total - sum(req)
     if free < 0:
         return
     n = len(req)
     for comp in _compositions(free, n):
         p = tuple(comp[i] + req[i] for i in range(n))
-        stab = autos if len(autos) == 1 else _stabilizer_if_least(autos, p)
+        stab = _stabilizer_if_least(autos, p)
         if stab is not None:
             yield p, stab
 
@@ -307,7 +309,7 @@ def _labelled_keys(skel: Shape, autos, req, legs_total: int):
     legs = tuple(range(1, legs_total + 1))
     for profile, stab in _profile_orbits(autos, req, legs_total):
         for labels in _label_sets(legs, profile):
-            if len(stab) == 1 or _stabilizer_if_least(stab, labels) is not None:
+            if _stabilizer_if_least(stab, labels) is not None:
                 yield skel._key(list(map(_label_cell, labels)))
 
 

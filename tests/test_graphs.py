@@ -35,7 +35,7 @@ class TestTreeValidation:
             DistinguishedTree((1, 1, 1, 1), ((0, 1), (2, 3), (2, 3)), (0, 0, 0, 0))
 
     def test_rejects_parallel_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a tree"):
             DistinguishedTree((1, 1), ((0, 1), (0, 1)), (0, 0))
 
     def test_rejects_self_loop(self):

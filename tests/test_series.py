@@ -55,6 +55,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             _series(0, [1], [2], [3])
 
+    @pytest.mark.parametrize("degree", [True, 2.0, "2", None])
+    def test_rejects_degree_that_is_not_an_int(self, degree):
+        with pytest.raises(ValueError, match="ambient degree"):
+            _series(degree, [1, 0, 0], [0, 1, 0], [0, 0, 1])
+
     def test_sequence_validates_ordering(self):
         with pytest.raises(ValueError):
             VanishingSequence((0, 0, 2))
