@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .counts import (
+    MAX_PRINTABLE_DEGREE,
     CacheError,
     JClass,
     RecursionTable,
@@ -55,9 +56,6 @@ from .strata import (
 __all__ = ["main"]
 
 ND_DEGREE_CEILING = 200
-# N_d has more than 4300 decimal digits from d = 572 on, Python's default
-# limit for int-to-str conversion, so no E_d above this could be printed.
-ED_DEGREE_CEILING = 571
 
 _J_BY_SELECTOR = {"generic": JClass.GENERIC, "0": JClass.J_ZERO, "1728": JClass.J_1728}
 
@@ -268,9 +266,9 @@ def _cmd_nd(args: argparse.Namespace) -> int:
 
 
 def _cmd_ed(args: argparse.Namespace) -> int:
-    if args.d > ED_DEGREE_CEILING:
+    if args.d > MAX_PRINTABLE_DEGREE:
         raise ResourceGuardError(
-            f"--d {args.d} exceeds the ceiling {ED_DEGREE_CEILING}: counts above "
+            f"--d {args.d} exceeds the ceiling {MAX_PRINTABLE_DEGREE}: counts above "
             "it have more than 4300 digits, Python's int-to-str limit"
         )
     table = _table_for(args)

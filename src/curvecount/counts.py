@@ -46,7 +46,13 @@ __all__ = [
     "divisibility_report",
     "load_table",
     "save_table",
+    "MAX_PRINTABLE_DEGREE",
 ]
+
+# N_d has more than 4300 decimal digits from d = 572 on, Python's default
+# limit for int-to-str conversion, so no count above this degree can be
+# printed, or read back from a cache file.
+MAX_PRINTABLE_DEGREE = 571
 
 
 class CacheError(Exception):
@@ -263,9 +269,17 @@ def save_table(table: RecursionTable, path: str | Path) -> None:
         raise
 
 
+def _excerpt(text: str) -> str:
+    """``text`` quoted for an error message, cut short if long, so that no
+    message carries a whole count."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 def load_table(path: str | Path) -> RecursionTable:
     """Load a cached table, refusing anything that fails validation.
 
+    A file of more than ``MAX_PRINTABLE_DEGREE`` lines is refused before
+    any line is read as numbers, and no error message quotes a whole count.
     Beyond the syntactic checks (consecutive degrees from 1, decimal
     values), the base entry must be exactly 1 and the top entry N_n is
     re-derived from entries 1..n-1.  For every n <= 600 each paired
@@ -276,32 +290,33 @@ def load_table(path: str | Path) -> RecursionTable:
     the coefficient times delta * (2 N_i + delta), which is zero only
     for the negative value -N_i that the sign check refuses.
     """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if len(lines) > MAX_PRINTABLE_DEGREE:
+        raise CacheError(
+            f"{len(lines)} lines, but no count above degree {MAX_PRINTABLE_DEGREE} "
+            "can be read back"
+        )
     values: dict[int, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         parts = line.split(" ")
         if len(parts) != 2:
-            raise CacheError(f"expected 'd value', got {line!r}", line_no)
+            raise CacheError(f"expected 'd value', got {_excerpt(line)}", line_no)
         try:
             d, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise CacheError(f"non-integer field in {line!r}", line_no) from None
+            raise CacheError(f"non-integer field in {_excerpt(line)}", line_no) from None
         if d != line_no:
-            raise CacheError(f"degree {d} out of sequence (expected {line_no})", line_no)
+            raise CacheError(f"expected degree {line_no}, got {_excerpt(parts[0])}", line_no)
         if v < 0:
-            raise CacheError(f"negative count {v}", line_no)
+            raise CacheError("negative count", line_no)
         values[d] = v
     if not values:
         raise CacheError("cache file is empty")
     if values[1] != 1:
-        raise CacheError(f"base entry must be 1, got {values[1]}", 1)
+        raise CacheError("base entry must be 1", 1)
     n = len(values)
-    if n >= 2:
-        expected = _recursion_value(n, values)
-        if values[n] != expected:
-            raise CacheError(
-                f"re-deriving degree {n} from the lower entries gives "
-                f"{expected}, not the stored {values[n]}",
-                n,
-            )
+    if n >= 2 and values[n] != _recursion_value(n, values):
+        raise CacheError(
+            f"re-deriving degree {n} from the lower entries does not give the stored count", n
+        )
     return RecursionTable(values)

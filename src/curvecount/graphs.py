@@ -13,10 +13,17 @@ vertex, and circuit graphs serialize the cycle of hanging rooted trees in
 its lexicographically minimal rotation or reflection.  Equal canonical
 strings mean isomorphic objects (isomorphisms fix vertex 0 for trees), so
 deduplication is a set membership test.  A key is built from a skeleton
-(its weights and edges) and one legs cell per vertex by the species'
-``_key``; the ``canonical_key`` cached property passes a graph's own legs,
-and stratum listings pass each class's legs to its skeleton, so a listed
-class needs no graph of its own.
+(its weights and edges) and one legs cell per vertex.  ``_walk`` builds it
+term by term, sorting each vertex's child terms and choosing the least
+rotation/reflection of a circuit; the ``canonical_key`` cached property
+walks a graph's own legs, since a graph is keyed once.  Stratum listings key
+many leg placements on one skeleton through ``_key``, which fills in the
+skeleton's ``_template``: its walked key with placeholder legs cells, kept
+when no legs can change the key's order (sibling vertices of distinct
+weights, and a circuit whose every other rotation/reflection first differs
+from the least one at a vertex of another weight).  A skeleton that fails
+either test has no template and ``_key`` walks.  A listed class needs no
+graph of its own.
 
 The grammar is read both ways: ``from_key`` parses a canonical string back
 into the graph, through the validating constructor, and refuses any string
@@ -164,7 +171,10 @@ class _MarkedGraph:
 
     Each species sets ``kind`` ("tree" or "circuit"), ``distinguished``
     (the vertices every symmetry fixes and stability leaves free, always
-    the first ones) and ``core`` (the genus-one part, of total weight e).
+    the first ones) and ``core`` (the genus-one part, of total weight e),
+    and for its key ``_orders`` (the sequences of root vertices a key may
+    list, the least spelling being the key) and ``_frame`` (the text around
+    them).
     """
 
     weights: tuple[int, ...]
@@ -219,10 +229,48 @@ class _MarkedGraph:
             terms[v] = f"({weights[v]};{legs[v]};[{subtrees}])"
         return terms
 
+    def _walk(self, legs) -> str:
+        """The key of this skeleton with ``legs[v]`` as vertex v's legs cell,
+        built term by term: the least of its ``_orders``' term sequences,
+        joined by "|" inside the species' ``_frame``."""
+        terms = self._terms(legs)
+        return self._frame.format("|".join(min([terms[v] for v in order] for order in self._orders)))
+
+    @cached_property
+    def _template(self) -> str | None:
+        """The walked key with vertex v's legs cell spelled "{v}", so that
+        ``_template.format(*legs)`` is ``_walk(legs)`` for any legs; None
+        where some legs could change the key's order.
+
+        Sibling terms of distinct weights differ at their weights, before
+        their legs cells, so they sort the same whatever the legs.  Another
+        of ``_orders`` first differs from the least one at a position holding
+        another vertex; if that vertex's weight differs too, the order loses
+        there whatever the legs.  A skeleton passing both tests has a template.
+        """
+        weights = self.weights
+        if any(len({weights[u] for u in kids}) < len(kids) for _, kids in self._key_plan):
+            return None
+        cells = [f"{{{v}}}" for v in range(len(weights))]
+        terms = self._terms(cells)
+        least = min(self._orders, key=lambda order: [terms[v] for v in order])
+        for order in self._orders:
+            first = next((i for i, v in enumerate(order) if v != least[i]), None)
+            if first is not None and weights[order[first]] == weights[least[first]]:
+                return None
+        return self._walk(cells)
+
+    def _key(self, legs) -> str:
+        """The key of this skeleton with ``legs[v]`` as vertex v's legs cell:
+        its ``_template`` filled in where it has one, else ``_walk(legs)``."""
+        template = self._template
+        return self._walk(legs) if template is None else template.format(*legs)
+
     def _own_key(self) -> str:
-        """This graph's key: its species' ``_key`` of its own legs cells."""
+        """This graph's key, walked from its own legs cells: a graph keyed
+        once has no use for a template."""
         labels = self.leg_labels
-        return self._key(self.leg_counts if labels is None else list(map(_label_cell, labels)))
+        return self._walk(self.leg_counts if labels is None else list(map(_label_cell, labels)))
 
     def relabeled(self, perm):
         """The same graph with vertex i renamed perm[i]; perm must be a
@@ -249,6 +297,8 @@ class DistinguishedTree(_MarkedGraph):
     kind = "tree"
     distinguished = (0,)
     core = (0,)
+    _orders = ((0,),)
+    _frame = "{}"
 
     def __post_init__(self):
         super().__post_init__()
@@ -259,10 +309,6 @@ class DistinguishedTree(_MarkedGraph):
     @cached_property
     def _key_plan(self):
         return _key_plan(_adjacency(self.n_vertices, self.edges), (0,))
-
-    def _key(self, legs) -> str:
-        """The key of this skeleton with ``legs[v]`` as vertex v's legs cell."""
-        return self._terms(legs)[0]
 
     @cached_property
     def canonical_key(self) -> str:
@@ -289,6 +335,7 @@ class CircuitGraph(_MarkedGraph):
 
     kind = "circuit"
     distinguished = ()
+    _frame = "C[{}]"
 
     def __post_init__(self):
         super().__post_init__()
@@ -337,19 +384,11 @@ class CircuitGraph(_MarkedGraph):
         hanging = [(a, b) for a, b in self.edges if not (a in on_circuit and b in on_circuit)]
         return _key_plan(_adjacency(self.n_vertices, hanging), self.circuit)
 
-    def _key(self, legs) -> str:
-        """The key of this skeleton with ``legs[v]`` as vertex v's legs cell:
-        the minimal rotation/reflection of the cycle of hanging-tree terms."""
-        terms = self._terms(legs)
-        terms = [terms[v] for v in self.circuit]
-        m = len(terms)
-        best = None
-        for seq in (terms, terms[::-1]):
-            for r in range(m):
-                cand = tuple(seq[r:] + seq[:r])
-                if best is None or cand < best:
-                    best = cand
-        return "C[" + "|".join(best) + "]"
+    @cached_property
+    def _orders(self) -> tuple[tuple[int, ...], ...]:
+        """Every rotation and reflection of the circuit, as vertex sequences."""
+        cycle = self.circuit
+        return tuple(seq[r:] + seq[:r] for seq in (cycle, cycle[::-1]) for r in range(len(cycle)))
 
     @cached_property
     def canonical_key(self) -> str:

@@ -14,7 +14,9 @@ class.  One pass over a group, ``_stabilizer_if_least``, picks the
 weightings, leg profiles and leg labellings that are listed (those least in
 their orbit) and gives a kept weighting's or profile's stabilizer, which is
 the group one level down.  Each skeleton is validated once, its exact class
-count feeds the guard, and its ``Verdict`` is found once.  A listed class is
+count feeds the guard (in collapsed mode after a one-binomial floor on it,
+so a large d is refused before a table of about 3d entries is filled), and
+its ``Verdict`` is found once.  A listed class is
 a lean ``ShapeClass``: its canonical key, built by the skeleton from the
 class's leg cells with no graph of its own, its multiplicity, and a
 reference to its skeleton's verdict, which is all a row of the listing
@@ -238,6 +240,17 @@ def _profile_count(autos, req, legs_total: int) -> int:
     return fixed // len(autos)
 
 
+def _profile_floor(autos, req, legs_total: int) -> int:
+    """A lower bound on ``_profile_count`` from one binomial: the identity's
+    fixed profiles over the group order, since no Burnside term is negative.
+    It is the count itself for a one-element group, a one-vertex skeleton's
+    among them."""
+    free = legs_total - sum(req)
+    if free < 0:
+        return 0
+    return math.comb(free + len(req) - 1, len(req) - 1) // len(autos)
+
+
 def _marked_count(autos, req, legs_total: int) -> int:
     """Labelled leg assignments of a skeleton up to symmetry, by Burnside's lemma.
 
@@ -346,6 +359,13 @@ def _check_guards(d: int, max_extra_vertices: int, ceiling: int) -> None:
         )
 
 
+def _check_projection(projected: int, ceiling: int) -> None:
+    if projected > ceiling:
+        raise ResourceGuardError(
+            f"projected class count {projected} exceeds the ceiling {ceiling}", projected
+        )
+
+
 def enumerate_shapes(
     d: int,
     max_extra_vertices: int,
@@ -359,21 +379,25 @@ def enumerate_shapes(
     mode materializes labelled leg assignments, one class per entry.
     The exact output size is counted first, by Burnside's lemma per
     skeleton; a ResourceGuardError is raised as soon as one skeleton takes
-    the running count past the ceiling, before the rest are built.
+    the running count past the ceiling, before the rest are built.  In
+    collapsed mode a skeleton's ``_profile_floor`` is checked before its
+    Burnside sum is run, whose table grows with d, so a refusal at large d
+    costs one binomial; the total it reports then counts that skeleton by
+    its floor, at most its exact count.
     """
     _check_guards(d, max_extra_vertices, ceiling)
     legs_total = 3 * d - 1
-    count = _profile_count if collapsed else _marked_count
     plans = []
     projected = 0
     for skel, autos in _skeletons(d, max_extra_vertices, include_circuits):
         req = _min_legs(skel)
-        projected += count(autos, req, legs_total)
-        if projected > ceiling:
-            raise ResourceGuardError(
-                f"projected class count {projected} exceeds the ceiling {ceiling}",
-                projected,
-            )
+        if collapsed:
+            floor = _profile_floor(autos, req, legs_total)
+            _check_projection(projected + floor, ceiling)
+            projected += floor if len(autos) == 1 else _profile_count(autos, req, legs_total)
+        else:
+            projected += _marked_count(autos, req, legs_total)
+        _check_projection(projected, ceiling)
         plans.append((skel, autos, req))
     out: list[ShapeClass] = []
     for skel, autos, req in plans:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecount import cli
+from curvecount import cli, strata
 from curvecount.cli import main
 from curvecount.counts import load_table
 
@@ -106,6 +106,17 @@ class TestNdCache:
         rc, out, err = run(capsys, ["nd", "--max", "6", "--cache", str(cache)])
         assert rc == 3
         assert err.startswith("error: cache: line ")
+
+    @pytest.mark.parametrize("lines", [3000, 20000])
+    def test_oversized_cache_refused_in_one_short_line(self, capsys, tmp_path, lines):
+        # No valid cache is longer than 571 lines.  Re-deriving the top entry
+        # of these files gives counts of thousands of digits, which no message
+        # quotes; past 4300 digits Python cannot even print them.
+        cache = tmp_path / "cache.txt"
+        cache.write_text("".join(f"{d} 1\n" for d in range(1, lines + 1)))
+        rc, out, err = run(capsys, ["nd", "--max", "3", "--cache", str(cache)])
+        assert (rc, out) == (3, "")
+        assert err == f"error: cache: {lines} lines, but no count above degree 571 can be read back\n"
 
     def test_malformed_cache_line(self, capsys, tmp_path):
         cache = tmp_path / "cache.txt"
@@ -259,6 +270,28 @@ class TestStrata:
         assert time.perf_counter() - start < 0.5
         assert (rc, out) == (4, "")
         assert err.endswith(" exceeds the ceiling 500000\n")
+
+    @pytest.mark.parametrize(
+        "argv, rc, rows",
+        [
+            (["--d", "10000000", "--max-extra", "1"], 4, 0),
+            (["--d", "10000000", "--max-extra", "0"], 0, 1),
+            (["--d", "5000000", "--max-extra", "0", "--include-circuits"], 0, 1),
+        ],
+    )
+    def test_large_degree_never_runs_the_burnside_sum(self, capsys, monkeypatch, argv, rc, rows):
+        # The sum's table has about 3d entries.  A one-vertex skeleton has one
+        # profile and a rigid one its identity's count, and any other is
+        # checked against that floor first, so none of these requests runs it.
+        def burnside_sum(*_):
+            raise AssertionError("_profile_count ran")
+
+        monkeypatch.setattr(strata, "_profile_count", burnside_sum)
+        got, out, err = run(capsys, ["strata", *argv, "--format", "csv"])
+        assert got == rc
+        assert len(out.splitlines()[1:]) == rows
+        if rc == 4:
+            assert err == "error: projected class count 30000001 exceeds the ceiling 500000\n"
 
     def test_rejects_low_degree(self, capsys):
         rc, _, _ = run(capsys, ["strata", "--d", "2"])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvecount import counts
 from curvecount.counts import (
+    MAX_PRINTABLE_DEGREE,
     CacheError,
     ExactDivisionError,
     JClass,
@@ -263,6 +265,37 @@ class TestCacheFile:
             with pytest.raises(CacheError) as err:
                 load_table(path)
             assert err.value.line_no == 30, d
+
+    def test_oversized_file_refused_before_any_rederivation(self, tmp_path, monkeypatch):
+        def rederive(*_):
+            raise AssertionError("_recursion_value ran")
+
+        monkeypatch.setattr(counts, "_recursion_value", rederive)
+        path = tmp_path / "counts.txt"
+        for lines in (MAX_PRINTABLE_DEGREE + 1, 20000):
+            path.write_text("".join(f"{d} 1\n" for d in range(1, lines + 1)))
+            with pytest.raises(CacheError, match=f"^{lines} lines, "):
+                load_table(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 {big}\n",  # base entry wrong
+            "1 1\n2 -{big}\n",  # negative
+            "1 1\n2 {big} 3\n",  # three fields
+            "1 1\n2 {big}x\n",  # not an integer
+            "1 1\n{big} 1\n",  # degree out of sequence
+            "1 1\n2 1\n3 {big}\n",  # re-derivation fails
+            "1 1\n2 1\n3 {huge}\n",  # more digits than Python reads
+        ],
+    )
+    def test_no_message_quotes_a_whole_count(self, tmp_path, text):
+        path = tmp_path / "counts.txt"
+        path.write_text(text.format(big="7" * 1000, huge="7" * 5000))
+        with pytest.raises(CacheError) as err:
+            load_table(path)
+        assert len(str(err.value)) < 120
+        assert "7" * 41 not in str(err.value)
 
     def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "counts.txt"

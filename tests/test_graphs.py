@@ -317,3 +317,44 @@ class TestFromKey:
         g = CircuitGraph((1, 0, 2, 0), ((0, 1), (1, 2), (2, 0), (2, 3)), (0, 1, 0, 2), ((), (4,), (), (1, 2)))
         h = from_key(g.canonical_key)
         assert (h.kind, h.weights, h.leg_labels) == ("circuit", (0, 1, 2, 0), ((4,), (), (), (1, 2)))
+
+
+class TestKeyTemplate:
+    """A skeleton's ``_template`` is its walked key with placeholder legs
+    cells, kept only where no legs can change the key's order."""
+
+    def test_equal_weight_siblings_have_no_template(self):
+        t = DistinguishedTree((1, 0, 0, 2), [(0, 1), (0, 2), (2, 3)], (0,) * 4)
+        assert t._template is None
+        # The weight-0 siblings sort by their legs cells, one way or the other.
+        assert t._key((0, 5, 3, 0)) == "(1;0;[(0;3;[(2;0;[])]),(0;5;[])])"
+        assert t._key((0, 2, 3, 0)) == "(1;0;[(0;2;[]),(0;3;[(2;0;[])])])"
+
+    def test_weight_symmetric_circuit_has_no_template(self):
+        # Vertices 0 and 1 share a weight, so which of them leads the key
+        # is up to their legs cells.
+        g = CircuitGraph((1, 1, 2), [(0, 1), (1, 2), (2, 0)], (0,) * 3)
+        assert g._template is None
+        assert g._key((3, 1, 0)) == "C[(1;1;[])|(1;3;[])|(2;0;[])]"
+        assert g._key((1, 3, 0)) == "C[(1;1;[])|(1;3;[])|(2;0;[])]"
+
+    @pytest.mark.parametrize(
+        "g, template",
+        [
+            (
+                DistinguishedTree((0, 12, 1, 0), [(0, 1), (0, 2), (2, 3)], (0,) * 4),
+                "(0;{0};[(12;{1};[]),(1;{2};[(0;{3};[])])])",
+            ),
+            (
+                CircuitGraph((0, 2, 1, 5), [(0, 1), (1, 2), (2, 0), (1, 3)], (0,) * 4),
+                "C[(0;{0};[])|(1;{2};[])|(2;{1};[(5;{3};[])])]",
+            ),
+        ],
+    )
+    def test_rigid_skeleton_template_fills_in_to_its_walked_key(self, g, template):
+        assert g._template == template
+        for legs in itertools.product(range(3), repeat=4):
+            assert g._key(legs) == g._walk(legs)
+        cells = ["{1,4}", "{}", "{2}", "{3,5}"]
+        assert g._key(cells) == g._walk(cells)
+

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from curvecount.graphs import CircuitGraph, DistinguishedTree, _MarkedGraph, from_key
+from curvecount.graphs import CircuitGraph, DistinguishedTree, _label_cell, _MarkedGraph, from_key
 from curvecount.strata import (
     DEFAULT_CLASS_CEILING,
     POSITIVE_PARTITION_NOTE,
@@ -11,6 +11,7 @@ from curvecount.strata import (
     ShapeClass,
     _marked_count,
     _min_legs,
+    _label_sets,
     _orbit_multiplicity,
     _profile_count,
     _profile_orbits,
@@ -421,6 +422,35 @@ class TestBurnside:
                     keys.add(type(skel)(skel.weights, skel.edges, counts, labels).canonical_key)
         listed = enumerate_shapes(d, k, collapsed=False, include_circuits=circuits)
         assert sorted(c.shape.canonical_key for c in listed) == sorted(keys)
+
+
+class TestKeyTemplate:
+    """Every listed class's key, built from its skeleton's template where it
+    has one, is the key walked term by term."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_every_listed_profile(self, d):
+        legs = 3 * d - 1
+        for skel, autos in _skeletons(d, 3, True):
+            for profile, _ in _profile_orbits(autos, _min_legs(skel), legs):
+                assert skel._key(profile) == skel._walk(profile)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_every_labelling_the_default_ceiling_admits(self, d):
+        # The largest k <= 3 whose full listing with circuits is under the
+        # ceiling; every labelling of each listed profile, least or not.
+        legs = 3 * d - 1
+        k = max(
+            k
+            for k in range(4)
+            if sum(_marked_count(a, _min_legs(s), legs) for s, a in _skeletons(d, k, True))
+            <= DEFAULT_CLASS_CEILING
+        )
+        for skel, autos in _skeletons(d, k, True):
+            for profile, _ in _profile_orbits(autos, _min_legs(skel), legs):
+                for labels in _label_sets(tuple(range(1, legs + 1)), profile):
+                    cells = list(map(_label_cell, labels))
+                    assert skel._key(cells) == skel._walk(cells)
 
 
 def _trial_skeletons(d, n, cls):
