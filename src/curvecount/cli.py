@@ -42,6 +42,7 @@ from .counts import (
 from .series import (
     RankDeficientError,
     SeriesFormatError,
+    _relation_from,
     parse_rational,
     root_sum_relation,
     series_from_json,
@@ -439,7 +440,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     point = None if args.at is None else parse_rational(args.at, "--at")
     point_label = "infinity" if point is None else str(point)
     seq = vanishing_sequence(series, point)
-    relation = root_sum_relation(series)
+    relation = _relation_from(series, seq.orders) if point is None else root_sum_relation(series)
     k_text = None if relation is None else str(relation.k)
     degenerate = relation is not None and relation.degenerate
     criterion = relation is not None

@@ -123,11 +123,6 @@ def _apply(perm, vector) -> tuple:
     return tuple(out)
 
 
-def _label_cell(labels) -> str:
-    """The grammar's ``legs`` cell of one vertex's ascending leg labels."""
-    return "{" + ",".join(map(str, labels)) + "}"
-
-
 def _skeleton_automorphisms(g) -> tuple[tuple[int, ...], ...]:
     """The permutations fixing g's distinguished vertices that preserve its
     weights and edge multiset, in increasing order.
@@ -269,8 +264,9 @@ class _MarkedGraph:
     def _own_key(self) -> str:
         """This graph's key, walked from its own legs cells: a graph keyed
         once has no use for a template."""
-        labels = self.leg_labels
-        return self._walk(self.leg_counts if labels is None else list(map(_label_cell, labels)))
+        if self.leg_labels is None:
+            return self._walk(self.leg_counts)
+        return self._walk(["{" + ",".join(map(str, own)) + "}" for own in self.leg_labels])
 
     def relabeled(self, perm):
         """The same graph with vertex i renamed perm[i]; perm must be a

@@ -209,7 +209,11 @@ def root_sum_relation(series: PolySeries) -> RootSumRelation | None:
     vanish identically and the degenerate marker is returned.  Returns
     None when no single K works.
     """
-    orders = vanishing_sequence(series).orders
+    return _relation_from(series, vanishing_sequence(series).orders)
+
+
+def _relation_from(series: PolySeries, orders) -> RootSumRelation | None:
+    """``root_sum_relation``, read off ``orders``: the net's orders at infinity."""
     if 1 in orders:
         return None
     if orders[0] != 0:

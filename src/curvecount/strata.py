@@ -13,14 +13,15 @@ Each unweighted shape is built, and its group searched, once per isomorphism
 class.  One pass over a group, ``_stabilizer_if_least``, picks the
 weightings, leg profiles and leg labellings that are listed (those least in
 their orbit) and gives a kept weighting's or profile's stabilizer, which is
-the group one level down.  Each skeleton is validated once, its exact class
-count feeds the guard (in collapsed mode after a one-binomial floor on it,
-so a large d is refused before a table of about 3d entries is filled), and
-its ``Verdict`` is found once.  A listed class is
-a lean ``ShapeClass``: its canonical key, built by the skeleton from the
-class's leg cells with no graph of its own, its multiplicity, and a
-reference to its skeleton's verdict, which is all a row of the listing
-needs.  ``ShapeClass.shape`` parses the key back into a graph on request.
+the group one level down.  Full mode walks a profile's labellings by flat
+``combinations`` picks, with no pass at all under a trivial stabilizer.
+Each skeleton is validated once, its exact class count feeds the guard after
+a floor on it (one binomial, or in full mode a capped power), so a large d is
+refused before any count that grows with d, and its ``Verdict`` is found
+once.  A listed class is a lean ``ShapeClass``: its canonical key, built by
+the skeleton from the class's leg cells with no graph of its own, its
+multiplicity and its skeleton's verdict, all a row of the listing needs.
+``ShapeClass.shape`` parses the key back into a graph on request.
 
 Dimension conventions, with e the weight of the graph's core (the
 distinguished vertex of a tree, the circuit of a circuit graph) and k one
@@ -37,10 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import NamedTuple
 
-from .graphs import CircuitGraph, DistinguishedTree, _apply, _label_cell, from_key
+from .graphs import CircuitGraph, DistinguishedTree, _apply, from_key
 
 __all__ = [
     "DEFAULT_CLASS_CEILING",
@@ -269,10 +270,18 @@ def _marked_count(autos, req, legs_total: int) -> int:
             short = [j for j in pick if j is not None]
             rest = legs_total - sum(short)
             if rest >= 0:
-                ways = math.factorial(legs_total) // math.factorial(rest)
+                ways = math.perm(legs_total, legs_total - rest)
                 ways //= math.prod(map(math.factorial, short))
                 fixed += (-1) ** len(short) * ways * (len(pick) - len(short)) ** rest
     return fixed // len(autos)
+
+
+def _marked_floor(autos, req, legs_total: int, ceiling: int) -> int:
+    """A lower bound on ``_marked_count``: n**free, the identity's fixed
+    assignments that place the required legs one way, over the group order,
+    the power stopped once past ceiling times that order (so few digits)."""
+    cap = (ceiling + 1) * len(autos)
+    return len(req) ** min(legs_total - sum(req), cap.bit_length()) // len(autos)
 
 
 def _orbit_multiplicity(stab, profile, legs_total: int) -> int:
@@ -297,33 +306,40 @@ def _profile_orbits(autos, req, legs_total: int):
     free = legs_total - sum(req)
     if free < 0:
         return
-    n = len(req)
-    for comp in _compositions(free, n):
-        p = tuple(comp[i] + req[i] for i in range(n))
+    for comp in _compositions(free, len(req)):
+        p = tuple(map(add, comp, req))
         stab = _stabilizer_if_least(autos, p)
         if stab is not None:
             yield p, stab
 
 
 def _label_sets(legs: tuple[int, ...], profile):
-    """Every way to give each vertex v profile[v] of ``legs``, labels ascending."""
+    """Every way to give each vertex v profile[v] of ``legs``, labels ascending:
+    a ``combinations`` pick for each vertex but the last, which takes the rest
+    by one set difference; only profiles of three or more vertices recurse."""
     if len(profile) == 1:
         yield (legs,)
         return
+    pool = frozenset(legs)
     for first in itertools.combinations(legs, profile[0]):
-        rest = tuple(sorted(set(legs).difference(first)))
-        yield from ((first,) + tail for tail in _label_sets(rest, profile[1:]))
+        rest = tuple(sorted(pool.difference(first)))
+        if len(profile) == 2:
+            yield first, rest
+        else:
+            yield from ((first, *tail) for tail in _label_sets(rest, profile[1:]))
 
 
-def _labelled_keys(skel: Shape, autos, req, legs_total: int):
+def _labelled_keys(skel: Shape, autos, req, names):
     """Yield the key of each class of labelled leg assignments.  Each class
     has labellings whose profile is the least of its orbit; those form one
-    orbit under that profile's stabilizer, and its least labelling is keyed."""
-    legs = tuple(range(1, legs_total + 1))
-    for profile, stab in _profile_orbits(autos, req, legs_total):
+    orbit under that profile's stabilizer, whose least labelling, by ints (as
+    strings "{10}" < "{2}"), is keyed, spelled from names[x], label x's string."""
+    legs = tuple(range(1, len(names)))
+    for profile, stab in _profile_orbits(autos, req, len(legs)):
+        rigid = len(stab) == 1
         for labels in _label_sets(legs, profile):
-            if _stabilizer_if_least(stab, labels) is not None:
-                yield skel._key(list(map(_label_cell, labels)))
+            if rigid or _stabilizer_if_least(stab, labels) is not None:
+                yield skel._key(["{" + ",".join([names[x] for x in own]) + "}" for own in labels])
 
 
 def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):
@@ -379,11 +395,11 @@ def enumerate_shapes(
     mode materializes labelled leg assignments, one class per entry.
     The exact output size is counted first, by Burnside's lemma per
     skeleton; a ResourceGuardError is raised as soon as one skeleton takes
-    the running count past the ceiling, before the rest are built.  In
-    collapsed mode a skeleton's ``_profile_floor`` is checked before its
-    Burnside sum is run, whose table grows with d, so a refusal at large d
-    costs one binomial; the total it reports then counts that skeleton by
-    its floor, at most its exact count.
+    the running count past the ceiling, before the rest are built.  A
+    skeleton's floor (``_profile_floor``, one binomial, or ``_marked_floor``,
+    a capped power) is checked before its Burnside sum, whose cost grows
+    with d, so a refusal at large d is cheap; the total it reports then
+    counts that skeleton by its floor, at most its exact count.
     """
     _check_guards(d, max_extra_vertices, ceiling)
     legs_total = 3 * d - 1
@@ -392,13 +408,16 @@ def enumerate_shapes(
     for skel, autos in _skeletons(d, max_extra_vertices, include_circuits):
         req = _min_legs(skel)
         if collapsed:
-            floor = _profile_floor(autos, req, legs_total)
-            _check_projection(projected + floor, ceiling)
-            projected += floor if len(autos) == 1 else _profile_count(autos, req, legs_total)
+            floor, count = _profile_floor(autos, req, legs_total), _profile_count
         else:
-            projected += _marked_count(autos, req, legs_total)
+            floor, count = _marked_floor(autos, req, legs_total, ceiling), _marked_count
+        _check_projection(projected + floor, ceiling)
+        # Under the identity alone a floor is the count, in full mode if no vertex requires legs.
+        exact = len(autos) == 1 and (collapsed or not any(req))
+        projected += floor if exact else count(autos, req, legs_total)
         _check_projection(projected, ceiling)
         plans.append((skel, autos, req))
+    names = None if collapsed else tuple(map(str, range(legs_total + 1)))  # label x's string
     out: list[ShapeClass] = []
     for skel, autos, req in plans:
         verdict = _verdict(skel, d)
@@ -409,7 +428,7 @@ def enumerate_shapes(
             )
         else:
             out.extend(
-                ShapeClass(key, 1, verdict) for key in _labelled_keys(skel, autos, req, legs_total)
+                ShapeClass(key, 1, verdict) for key in _labelled_keys(skel, autos, req, names)
             )
     # Ordered by (kind, key) in two stable sorts, so the sort keys are
     # references to strings the classes hold, not a new tuple per class.

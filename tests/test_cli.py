@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecount import cli, strata
+from curvecount import cli, series, strata
 from curvecount.cli import main
 from curvecount.counts import load_table
 
@@ -293,6 +293,30 @@ class TestStrata:
         if rc == 4:
             assert err == "error: projected class count 30000001 exceeds the ceiling 500000\n"
 
+    @pytest.mark.parametrize(
+        "argv, rc, rows",
+        [
+            (["--d", "30000", "--max-extra", "1"], 4, 0),
+            (["--d", "30000", "--max-extra", "0"], 0, 1),
+        ],
+    )
+    def test_large_degree_full_mode_never_runs_the_burnside_sum(
+        self, capsys, monkeypatch, argv, rc, rows
+    ):
+        # Each skeleton's floor, n**free over its group order taken no further
+        # than the ceiling needs, is checked before its exact count (a power
+        # of n with about 3d digits); the one-vertex skeleton's floor, 1, is
+        # its count, since no vertex requires legs and its group is trivial.
+        def burnside_sum(*_):
+            raise AssertionError("_marked_count ran")
+
+        monkeypatch.setattr(strata, "_marked_count", burnside_sum)
+        got, out, err = run(capsys, ["strata", *argv, "--full", "--format", "csv"])
+        assert got == rc
+        assert len(out.splitlines()[1:]) == rows
+        if rc == 4:
+            assert err == "error: projected class count 524289 exceeds the ceiling 500000\n"
+
     def test_rejects_low_degree(self, capsys):
         rc, _, _ = run(capsys, ["strata", "--d", "2"])
         assert rc == 2
@@ -378,6 +402,11 @@ PINNED_LISTINGS = {
         "95ae99482ec7823a74f8d59b42c6879aaec38eb74c4dda6988c03dc13a61dede",
     "strata --d 4 --max-extra 1 --full --include-circuits --format csv":
         "6cc0def6e440ec7c4bd68d7f093784e663f45e12764fddfa215afad49379f29b",
+    # The benchmark's two full-mode listings, its slowest requests.
+    "strata --d 5 --max-extra 1 --full":
+        "9ca5d24020b20384b33fd8ea460dc076f303976c23ee28d8fd64ce743cf88d03",
+    "strata --d 3 --max-extra 2 --full --format json":
+        "fdac68ac368a9c8745c75c264e37304624cc8290cef075d5ec92381be66c16af",
 }
 
 
@@ -439,6 +468,17 @@ class TestSeries:
         assert rc == 0
         assert "point = 1/2\n" in out
         assert "orders = (0, 1, 2)\n" in out
+
+    @pytest.mark.parametrize("at, reductions", [([], 1), (["--at", "1/2"], 2), (["--at", "0"], 2)])
+    def test_one_reduction_per_point(self, capsys, monkeypatch, net_path, at, reductions):
+        # At infinity the root-sum relation is read off the orders just found;
+        # at a finite point (0 included) it needs its own reduction at infinity.
+        calls = []
+        echelon = series._echelon_pivots
+        monkeypatch.setattr(series, "_echelon_pivots", lambda mat: calls.append(1) or echelon(mat))
+        rc, out, _ = run(capsys, ["series", net_path, *at])
+        assert (rc, len(calls)) == (0, reductions)
+        assert "K = 0\n" in out
 
     def test_negative_point_both_spellings(self, capsys, net_path):
         spaced = run(capsys, ["series", net_path, "--at", "-2/5"])
