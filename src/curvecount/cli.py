@@ -25,6 +25,7 @@ import csv
 import json
 import sys
 from collections.abc import Iterable
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -221,14 +222,17 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     )
 
 
-def _table_for(args: argparse.Namespace) -> RecursionTable:
+def _table_for(args: argparse.Namespace) -> tuple[RecursionTable, int]:
+    """The table to fill and the top degree its cache file holds (0 for none)."""
     if args.cache and Path(args.cache).exists():
-        return load_table(args.cache)
-    return RecursionTable()
+        table = load_table(args.cache)
+        return table, table.max_degree
+    return RecursionTable(), 0
 
 
-def _save_if_requested(args: argparse.Namespace, table: RecursionTable) -> None:
-    if args.cache:
+def _save_if_grown(args: argparse.Namespace, table: RecursionTable, stored: int) -> None:
+    """Write the cache file if one is asked for and the table outgrew it."""
+    if args.cache and table.max_degree > stored:
         save_table(table, args.cache)
 
 
@@ -248,9 +252,9 @@ def _cmd_nd(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--max must be between 1 and {ND_DEGREE_CEILING}, got {args.max_d}"
         )
-    table = _table_for(args)
+    table, stored = _table_for(args)
     rational_count(args.max_d, table)
-    _save_if_requested(args, table)
+    _save_if_grown(args, table, stored)
     rows = [(d, table[d]) for d in range(1, args.max_d + 1)]
     if args.output == "csv":
         _emit_csv(["d", "N"], [[str(d), str(v)] for d, v in rows])
@@ -272,7 +276,7 @@ def _cmd_ed(args: argparse.Namespace) -> int:
             f"--d {args.d} exceeds the ceiling {MAX_PRINTABLE_DEGREE}: counts above "
             "it have more than 4300 digits, Python's int-to-str limit"
         )
-    table = _table_for(args)
+    table, stored = _table_for(args)
     classes = (
         list(_J_BY_SELECTOR.values())
         if args.j_selector == "all"
@@ -280,7 +284,7 @@ def _cmd_ed(args: argparse.Namespace) -> int:
     )
     values = {j: elliptic_count(args.d, j, table) for j in classes}
     zt = zt_invariant(args.d, table)
-    _save_if_requested(args, table)
+    _save_if_grown(args, table, stored)
     if args.output == "json":
         if args.j_selector == "all":
             _emit_json(
@@ -347,6 +351,26 @@ def _plain_cells(kind, e, k, dim, bound, survivor, note):
     return (kind, str(e), str(k), str(dim), str(bound), "yes" if survivor else "no"), note or "-"
 
 
+def _tally(shapes) -> list[list]:
+    """``[verdict, classes, marked, widest]`` for each distinct verdict among
+    ``shapes`` (one object per skeleton): its class count, multiplicity total
+    and largest multiplicity (non-negative, so the widest), all that the
+    listing summary and the plain format's multiplicity column need, from
+    one pass."""
+    tally: dict[int, list] = {}
+    for sc in shapes:
+        mult = sc.multiplicity
+        entry = tally.get(id(sc.verdict))
+        if entry is None:
+            tally[id(sc.verdict)] = [sc.verdict, 1, mult, mult]
+        else:
+            entry[1] += 1
+            entry[2] += mult
+            if mult > entry[3]:
+                entry[3] = mult
+    return list(tally.values())
+
+
 def _cmd_strata(args: argparse.Namespace) -> int:
     d = args.d
     shapes = enumerate_shapes(
@@ -356,19 +380,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         include_circuits=args.include_circuits,
         ceiling=args.ceiling,
     )
-    marked_total = sum(sc.multiplicity for sc in shapes)
-    single_tail = (
-        sum(
-            sc.multiplicity
-            for sc in shapes
-            if sc.k == 1 and sc.kind == "tree" and sc.e == 0
-        )
-        if args.max_extra >= 1
-        else None
-    )
-    expected_tail = 2 ** (3 * d - 1) if args.max_extra >= 1 else None
-    survivors = sum(1 for sc in shapes if sc.survivor)
-    shown = [sc for sc in shapes if sc.survivor] if args.survivors_only else shapes
+    shown = [sc for sc in shapes if sc.verdict.survivor] if args.survivors_only else shapes
     # Every format writes each row as it is formed.
     write = sys.stdout.write
 
@@ -380,7 +392,19 @@ def _cmd_strata(args: argparse.Namespace) -> int:
                 for sc, (kind, cells) in _with_cells(shown, _csv_cells)
             ),
         )
-    elif args.output == "json":
+        return 0
+    # The summary that the other two formats print, read off the verdicts.
+    tally = _tally(shapes)
+    marked_total = sum(marked for _, _, marked, _ in tally)
+    single_tail = (
+        sum(marked for v, _, marked, _ in tally if v.k == 1 and v.kind == "tree" and v.e == 0)
+        if args.max_extra >= 1
+        else None
+    )
+    expected_tail = 2 ** (3 * d - 1) if args.max_extra >= 1 else None
+    survivors = sum(classes for v, classes, _, _ in tally if v.survivor)
+
+    if args.output == "json":
         # The bytes json.dumps(doc, separators=(",", ":")) would give the whole document.
         head = {
             "d": d,
@@ -406,13 +430,14 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         write(f'],"summary":{json.dumps(summary, separators=(",", ":"))}}}\n')
     else:
         if shown:
-            # Column widths from the distinct verdict cells, then one pass over
-            # keys and multiplicities (non-negative, so the largest is widest).
+            # Verdict cell and multiplicity widths from the listed verdicts'
+            # tally, then one pass over the keys.
             cols = ["kind", "e", "k", "dim", "bound", "survivor", "multiplicity", "shape", "note"]
-            distinct = {lead for _, (lead, _) in _with_cells(shown, _plain_cells)}
-            widths = [max(len(cols[i]), *(len(lead[i]) for lead in distinct)) for i in range(6)]
-            wm = max(len(cols[6]), len(str(max(sc.multiplicity for sc in shown))))
-            wk = max(len(cols[7]), max(len(sc.key) for sc in shown))
+            listed = [entry for entry in tally if entry[0].survivor or not args.survivors_only]
+            leads = [_plain_cells(*verdict)[0] for verdict, *_ in listed]
+            widths = [max(len(cols[i]), *(len(lead[i]) for lead in leads)) for i in range(6)]
+            wm = max(len(cols[6]), len(str(max(widest for *_, widest in listed))))
+            wk = max(len(cols[7]), max(map(len, map(attrgetter("key"), shown))))
             header = zip(cols, [*widths, wm, wk, 0])
             write("  ".join(col.ljust(w) for col, w in header).rstrip() + "\n")
 

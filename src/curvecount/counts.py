@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -269,6 +270,11 @@ def save_table(table: RecursionTable, path: str | Path) -> None:
         raise
 
 
+# A count as save_table writes it: ASCII digits with no sign, "_", whitespace
+# or leading zero, where int() would also take "+1", "1_2" or " ١٢".
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
 def _excerpt(text: str) -> str:
     """``text`` quoted for an error message, cut short if long, so that no
     message carries a whole count."""
@@ -280,15 +286,17 @@ def load_table(path: str | Path) -> RecursionTable:
 
     A file of more than ``MAX_PRINTABLE_DEGREE`` lines is refused before
     any line is read as numbers, and no error message quotes a whole count.
-    Beyond the syntactic checks (consecutive degrees from 1, decimal
-    values), the base entry must be exactly 1 and the top entry N_n is
-    re-derived from entries 1..n-1.  For every n <= 600 each paired
-    coefficient of the recursion for N_n (one per i <= n/2, on
-    N_i * N_{n-i}) is non-zero, so one changed entry anywhere in the file
-    always makes that check fail: it moves the sum by the coefficient
-    times a positive partner, or for the middle entry of an even n by
-    the coefficient times delta * (2 N_i + delta), which is zero only
-    for the negative value -N_i that the sign check refuses.
+    Beyond the syntactic checks (each line's degree and count spelled as
+    ``save_table`` writes them: degrees 1, 2, 3, ..., counts in ASCII
+    digits with no sign, "_", whitespace or leading zero), the base entry
+    must be exactly 1 and the top entry N_n is re-derived from entries
+    1..n-1.  For every n <= 600 each paired coefficient of the recursion
+    for N_n (one per i <= n/2, on N_i * N_{n-i}) is non-zero, so one
+    changed entry anywhere in the file always makes that check fail: it
+    moves the sum by the coefficient times a positive partner, or for the
+    middle entry of an even n by the coefficient times delta * (2 N_i +
+    delta), which is zero only for the negative value -N_i, whose sign no
+    count may carry.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) > MAX_PRINTABLE_DEGREE:
@@ -301,15 +309,15 @@ def load_table(path: str | Path) -> RecursionTable:
         parts = line.split(" ")
         if len(parts) != 2:
             raise CacheError(f"expected 'd value', got {_excerpt(line)}", line_no)
+        degree, count = parts
+        if degree != str(line_no):
+            raise CacheError(f"expected degree {line_no}, got {_excerpt(degree)}", line_no)
+        if _DECIMAL.fullmatch(count) is None:
+            raise CacheError(f"count is not a plain decimal: {_excerpt(count)}", line_no)
         try:
-            d, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CacheError(f"non-integer field in {_excerpt(line)}", line_no) from None
-        if d != line_no:
-            raise CacheError(f"expected degree {line_no}, got {_excerpt(parts[0])}", line_no)
-        if v < 0:
-            raise CacheError("negative count", line_no)
-        values[d] = v
+            values[line_no] = int(count)
+        except ValueError:  # more digits than int() reads
+            raise CacheError(f"count too long to read: {_excerpt(count)}", line_no) from None
     if not values:
         raise CacheError("cache file is empty")
     if values[1] != 1:

@@ -14,12 +14,15 @@ class.  One pass over a group, ``_stabilizer_if_least``, picks the
 weightings, leg profiles and leg labellings that are listed (those least in
 their orbit) and gives a kept weighting's or profile's stabilizer, which is
 the group one level down.  Full mode walks a profile's labellings by flat
-``combinations`` picks, with no pass at all under a trivial stabilizer.
-Each skeleton is validated once, its exact class count feeds the guard after
-a floor on it (one binomial, or in full mode a capped power), so a large d is
-refused before any count that grows with d, and its ``Verdict`` is found
-once.  A listed class is a lean ``ShapeClass``: its canonical key, built by
-the skeleton from the class's leg cells with no graph of its own, its
+``combinations`` picks, each last vertex taking the complement of the picks,
+which runs in reverse lexicographic order.  A profile with a one-element
+stabilizer needs no pass at all: its keys are spelled straight from the label
+strings, each vertex's labels joined once per pick.  Each skeleton is
+validated once, its exact class count feeds the guard after a floor on it
+(one binomial, or in full mode a capped power), so a large d is refused
+before any count that grows with d, and its ``Verdict`` is found once.  A
+listed class is a lean ``ShapeClass``: its canonical key, built by the
+skeleton from the class's leg cells with no graph of its own, its
 multiplicity and its skeleton's verdict, all a row of the listing needs.
 ``ShapeClass.shape`` parses the key back into a graph on request.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import add, attrgetter
 from typing import NamedTuple
 
@@ -313,33 +317,73 @@ def _profile_orbits(autos, req, legs_total: int):
             yield p, stab
 
 
-def _label_sets(legs: tuple[int, ...], profile):
-    """Every way to give each vertex v profile[v] of ``legs``, labels ascending:
-    a ``combinations`` pick for each vertex but the last, which takes the rest
-    by one set difference; only profiles of three or more vertices recurse."""
+def _splits(labels, size: int, spell):
+    """``spell`` of each pick of ``size`` of ``labels`` and, in step, of the
+    rest, both in the order ``labels`` has them.  Complements of equal-size
+    picks come in reverse lexicographic order, so each rest is the pick's
+    partner in the reversed list of picks of the complementary size: no set
+    difference and no sort.  Each pick is spelled as it is drawn, so where
+    ``spell`` keeps no tuple, ``combinations`` reuses its one tuple and the
+    list holds only the spellings."""
+    picks = map(spell, itertools.combinations(labels, size))
+    return picks, reversed(list(map(spell, itertools.combinations(labels, len(labels) - size))))
+
+
+def _label_sets(labels, profile):
+    """Every way to give each vertex v profile[v] of ``labels``, each vertex's
+    in the order ``labels`` has them: a ``_splits`` pick for each vertex but
+    the last, which takes the rest; only profiles of three or more vertices
+    recurse."""
     if len(profile) == 1:
-        yield (legs,)
+        yield (labels,)
         return
-    pool = frozenset(legs)
-    for first in itertools.combinations(legs, profile[0]):
-        rest = tuple(sorted(pool.difference(first)))
-        if len(profile) == 2:
-            yield first, rest
-        else:
+    picks, rests = _splits(labels, profile[0], tuple)
+    if len(profile) == 2:
+        yield from zip(picks, rests)
+    else:
+        for first, rest in zip(picks, rests):
             yield from ((first, *tail) for tail in _label_sets(rest, profile[1:]))
+
+
+def _spelled_keys(key, names, profile):
+    """``key`` of the joined label strings of each vertex, for every labelling
+    in ``_label_sets(names, profile)``: each vertex's labels but the last are
+    joined once per pick, and bound into ``key`` for every split of the rest."""
+    join = ",".join
+    if len(profile) == 1:
+        yield key(join(names))
+    elif len(profile) == 2:
+        yield from map(key, *_splits(names, profile[0], join))
+    else:
+        for first, rest in _label_sets(names, (profile[0], len(names) - profile[0])):
+            yield from _spelled_keys(partial(key, join(first)), rest, profile[1:])
 
 
 def _labelled_keys(skel: Shape, autos, req, names):
     """Yield the key of each class of labelled leg assignments.  Each class
     has labellings whose profile is the least of its orbit; those form one
     orbit under that profile's stabilizer, whose least labelling, by ints (as
-    strings "{10}" < "{2}"), is keyed, spelled from names[x], label x's string."""
+    strings "{10}" < "{2}"), is keyed, spelled from names[x], label x's string.
+    Under a one-element stabilizer every labelling is least, so it is spelled
+    straight from the strings ``names[1:]``."""
     legs = tuple(range(1, len(names)))
+    template = skel._template
+    if template is not None:
+        # Its only braces are the placeholders: "{v}" becomes "{{{v}}}", which
+        # fills in vertex v's labels inside the cell's own braces.
+        key = template.replace("{", "{{{").replace("}", "}}}").format
+    else:
+
+        def key(*labels):
+            return skel._walk(["{" + own + "}" for own in labels])
+
     for profile, stab in _profile_orbits(autos, req, len(legs)):
-        rigid = len(stab) == 1
+        if len(stab) == 1:
+            yield from _spelled_keys(key, names[1:], profile)
+            continue
         for labels in _label_sets(legs, profile):
-            if rigid or _stabilizer_if_least(stab, labels) is not None:
-                yield skel._key(["{" + ",".join([names[x] for x in own]) + "}" for own in labels])
+            if _stabilizer_if_least(stab, labels) is not None:
+                yield key(*[",".join([names[x] for x in own]) for own in labels])
 
 
 def _skeletons(d: int, max_extra_vertices: int, include_circuits: bool):

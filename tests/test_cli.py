@@ -125,6 +125,36 @@ class TestNdCache:
         assert rc == 3
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text", ["1 1\n2 +1\n3 \u0661\u0662\n", "1 1\n2 1\n3 1_2\n"]
+    )
+    @pytest.mark.parametrize("max_d", ["3", "4"])
+    def test_non_canonical_cache_refused_and_kept(self, capsys, tmp_path, text, max_d):
+        # int() reads each of these counts, but no cache file spells them so.
+        cache = tmp_path / "cache.txt"
+        cache.write_text(text, encoding="utf-8")
+        rc, out, err = run(capsys, ["nd", "--max", max_d, "--cache", str(cache)])
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: cache: line ")
+        assert cache.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize(
+        "argv", [["nd", "--max", "6"], ["nd", "--max", "4"], ["ed", "--d", "5"], ["ed", "--d", "3"]]
+    )
+    def test_covered_request_leaves_cache_unwritten(self, capsys, tmp_path, monkeypatch, argv):
+        cache = tmp_path / "cache.txt"
+        assert run(capsys, ["nd", "--max", "6", "--cache", str(cache)])[0] == 0
+        before = cache.read_bytes()
+
+        def refuse(*_):
+            raise AssertionError("save_table ran")
+
+        monkeypatch.setattr(cli, "save_table", refuse)
+        rc, _, err = run(capsys, [*argv, "--cache", str(cache)])
+        assert (rc, err) == (0, "")
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
     def test_ed_shares_cache_flag(self, capsys, tmp_path):
         cache = tmp_path / "cache.txt"
         rc, out, _ = run(capsys, ["ed", "--d", "4", "--cache", str(cache)])
@@ -407,6 +437,9 @@ PINNED_LISTINGS = {
         "9ca5d24020b20384b33fd8ea460dc076f303976c23ee28d8fd64ce743cf88d03",
     "strata --d 3 --max-extra 2 --full --format json":
         "fdac68ac368a9c8745c75c264e37304624cc8290cef075d5ec92381be66c16af",
+    # Three symmetric 3-vertex skeletons: non-rigid and three-part labellings.
+    "strata --d 3 --max-extra 2 --full --include-circuits":
+        "1ee2060e5877e971417a6bccf3cc6d7e8b72cb58a77556a5945657018b7383ce",
 }
 
 

@@ -240,6 +240,27 @@ class TestCacheFile:
             load_table(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("1 1\n2 +1\n3 12\n", 2),  # a sign
+            ("1 1\n2 1\n3 \u0661\u0662\n", 3),  # Arabic-Indic digits for 12
+            ("1 1\n2 1\n3 1_2\n", 3),  # a digit separator
+            ("1 1\n2 01\n", 2),  # a leading zero
+            ("1 1\n2 1\u00a0\n", 2),  # trailing Unicode whitespace
+            ("1 1\n02 1\n", 2),  # a leading zero in the degree
+            ("+1 1\n", 1),  # a sign on the degree
+        ],
+    )
+    def test_rejects_spellings_save_table_never_writes(self, tmp_path, text, line_no):
+        # int() reads every field here, and each file holds the right
+        # counts, but only plain ASCII decimals are read back.
+        path = tmp_path / "counts.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CacheError) as err:
+            load_table(path)
+        assert err.value.line_no == line_no
+
     def test_rejects_blank_line(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("1 1\n\n2 1\n")

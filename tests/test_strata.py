@@ -15,6 +15,7 @@ from curvecount.strata import (
     _marked_count,
     _min_legs,
     _label_sets,
+    _spelled_keys,
     _orbit_multiplicity,
     _profile_count,
     _profile_orbits,
@@ -504,6 +505,23 @@ class TestLabelSets:
                 for labels in got:
                     assert tuple(map(len, labels)) == profile
                     assert all(list(own) == sorted(own) for own in labels)
+
+    @pytest.mark.parametrize("parts, max_legs", [(1, 10), (2, 10), (3, 10), (4, 8)])
+    def test_label_strings_in_the_recursion_order(self, parts, max_legs):
+        # Label strings out of their own order ("10" < "2"): each labelling
+        # is the recursion's, in its order, with each label x spelled
+        # names[x], and the spelled keys join each vertex's strings.
+        names = tuple(map(str, range(max_legs + 1)))
+        for n_legs in range(max_legs + 1):
+            legs = tuple(range(1, n_legs + 1))
+            for profile in _compositions(n_legs, parts):
+                want = [
+                    tuple(tuple(names[x] for x in own) for own in labels)
+                    for labels in _recursive_label_sets(legs, profile)
+                ]
+                assert list(_label_sets(names[1 : n_legs + 1], profile)) == want
+                spelled = _spelled_keys(lambda *cells: cells, names[1 : n_legs + 1], profile)
+                assert list(spelled) == [tuple(map(",".join, labels)) for labels in want]
 
     @pytest.mark.parametrize("d, k", [(3, 2), (4, 1)])
     def test_keys_are_the_least_labellings(self, d, k):
