@@ -43,11 +43,10 @@ from .counts import (
 from .series import (
     RankDeficientError,
     SeriesFormatError,
+    _integer_net,
+    _net_orders,
     _relation_from,
     parse_rational,
-    root_sum_relation,
-    series_from_json,
-    vanishing_sequence,
 )
 from .strata import (
     DEFAULT_CLASS_CEILING,
@@ -460,21 +459,30 @@ def _cmd_strata(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    series = series_from_json(text)
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError:
+        # Building a Path costs more than the rest of the read in a fresh
+        # process, so only a failed open reads through one: Path normalizes
+        # the name, and the read then fails (or succeeds) on its spelling.
+        text = Path(args.file).read_text(encoding="utf-8")
+    rows = _integer_net(text)
     point = None if args.at is None else parse_rational(args.at, "--at")
     point_label = "infinity" if point is None else str(point)
-    seq = vanishing_sequence(series, point)
-    relation = _relation_from(series, seq.orders) if point is None else root_sum_relation(series)
+    at_infinity, orders = _net_orders(rows, point)
+    relation = _relation_from(rows, at_infinity)
+    degree = len(rows[0]) - 1
+    a0, a1, a2 = orders
     k_text = None if relation is None else str(relation.k)
     degenerate = relation is not None and relation.degenerate
     criterion = relation is not None
     if args.output == "json":
         _emit_json(
             {
-                "degree": series.degree,
+                "degree": degree,
                 "point": point_label,
-                "orders": list(seq.orders),
+                "orders": orders,
                 "K": k_text,
                 "degenerate": degenerate,
                 "criterion": criterion,
@@ -485,11 +493,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
             ["degree", "point", "a0", "a1", "a2", "K", "degenerate", "criterion"],
             [
                 [
-                    str(series.degree),
+                    str(degree),
                     point_label,
-                    str(seq.a0),
-                    str(seq.a1),
-                    str(seq.a2),
+                    str(a0),
+                    str(a1),
+                    str(a2),
                     k_text or "",
                     "true" if degenerate else "false",
                     "true" if criterion else "false",
@@ -497,9 +505,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
             ],
         )
     else:
-        print(f"degree = {series.degree}")
+        print(f"degree = {degree}")
         print(f"point = {point_label}")
-        print(f"orders = ({seq.a0}, {seq.a1}, {seq.a2})")
+        print(f"orders = ({a0}, {a1}, {a2})")
         print(f"K = {k_text if k_text is not None else 'absent'}")
         print(f"degenerate = {'true' if degenerate else 'false'}")
         print(f"criterion = {'true' if criterion else 'false'}")

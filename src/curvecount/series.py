@@ -9,13 +9,20 @@ whether all full-degree members share the same sum of roots.  The
 relation is read off the vanishing sequence at infinity: it holds iff 1 is
 not an order there, and K is then the root sum of any full-degree member.
 
-Coefficients are fractions.Fraction at the edges: parsing, ``PolySeries``,
-the constant K and ``translate``'s result.  Vanishing orders and the rank
-check work on integer rows instead: each row is multiplied by the lcm of
-its denominators, a finite point p/q is reached by one integer Taylor
-shift of q^d * f(p/q + y/q), and the echelon form is fraction-free.  None
-of these scalings moves a pivot column.  Vanishing orders are discrete
-and one rounded pivot would corrupt them, so no floats appear anywhere.
+Coefficients are fractions.Fraction at the edges: ``PolySeries``, the
+constant K and ``translate``'s result.  Everything else works on integer
+rows: a literal is read as (numerator, denominator) by one grammar, and
+each row is multiplied by the lcm of its denominators.  The echelon form
+takes the rows column by column and keeps, for each unpivoted row, its
+integer combination of the three basis rows, so a column costs a 3x3
+product and the reduction stops at the third pivot.  At infinity column j
+is b_{d-j}; at a finite point p/q column i is the y^i coefficient of
+q^d * f(p/q + y/q), finished by one Horner round of the integer Taylor
+shift, so only the columns up to the third pivot are shifted.  Infinity
+is reduced first: it settles the rank, so a rank-deficient net is never
+shifted.  None of these scalings moves a pivot column.  Vanishing orders
+are discrete and one rounded pivot would corrupt them, so no floats
+appear anywhere.
 """
 
 from __future__ import annotations
@@ -115,61 +122,81 @@ class RootSumRelation:
     degenerate: bool = False
 
 
-def _integer_row(row) -> tuple[int, list[int]]:
-    """(m, m*row) for m the lcm of the row's denominators: an integer row
-    spanning the same line."""
-    m = math.lcm(*[x.denominator for x in row])
-    return m, [x.numerator * (m // x.denominator) for x in row]
+def _integer_row(pairs) -> tuple[int, list[int]]:
+    """(m, m*row) for a row of (numerator, denominator) pairs, m the lcm of
+    the denominators: an integer row spanning the same line."""
+    nums, dens = zip(*pairs)
+    m = math.lcm(*dens)
+    return m, [n * (m // q) for n, q in zip(nums, dens)]
 
 
-def _shifted(coeffs: list[int], p: int, q: int) -> list[int]:
-    """Coefficients of q^d * f(p/q + y/q), in y, for an integer row f of degree d.
+def _integer_rows(series: PolySeries) -> list[list[int]]:
+    return [_integer_row(map(Fraction.as_integer_ratio, row))[1] for row in series.basis]
 
-    Coefficient j is q^(d-j) times the t^j coefficient of f(p/q + t): each
-    column of the Taylor shift is scaled by a nonzero integer.  Scaling
-    b_i = a_i * q^(d-i) turns the shift into an integer one by p (Horner).
+
+def _columns_at(rows, p: int, q: int):
+    """The columns of the integer rows recentred at p/q, lowest order first.
+
+    Column i holds the y^i coefficients of q^d * f(p/q + y/q) for the rows
+    f.  With b_i = a_i * q^(d-i) that is the Taylor shift of b by the
+    integer p, and Horner round i (b_j += p * b_{j+1} for j from d-1 down
+    to i) finishes column i, so each column costs one round and columns
+    nobody reads are never shifted.
     """
-    b = list(coeffs)
-    if q != 1:
-        power = 1
-        for i in range(len(b) - 1, -1, -1):
+    d = len(rows[0]) - 1
+    rows = [list(row) for row in rows]
+    power = 1
+    for i in range(d, -1, -1):
+        for b in rows:
             b[i] *= power
-            power *= q
-    if p:
-        d = len(b) - 1
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                b[j] += p * b[j + 1]
-    return b
+        power *= q
+    for i in range(d + 1):
+        if p:
+            for b in rows:
+                for j in range(d - 1, i - 1, -1):
+                    b[j] += p * b[j + 1]
+        yield rows[0][i], rows[1][i], rows[2][i]
 
 
-def _echelon_pivots(mat: list[list[int]]) -> list[int]:
-    """Pivot columns of the integer rows' row space, in increasing order.
+def _echelon_pivots(columns) -> list[int]:
+    """Pivot columns, in increasing order, of the row space of three integer
+    rows given as an iterable of their columns; stops at the third pivot.
 
-    Fraction-free: a row is cleared against the pivot row by integer
-    cross-multiplication, and scaling a row by a nonzero integer leaves its
-    pivot columns unchanged.  ``mat`` is reduced in place.
+    The reduced rows are never written out: each row not yet a pivot row is
+    kept as its integer combination of the basis rows, so a column costs
+    at most a 3x3 product.  Fraction-free: a row is cleared against the
+    pivot row by integer cross-multiplication, and scaling a row by a
+    nonzero integer leaves its pivot columns unchanged.
     """
+    combos = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     pivots: list[int] = []
-    top = 0
-    for col in range(len(mat[0])):
-        pivot_row = next((r for r in range(top, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
+    for col, (x, y, z) in enumerate(columns):
+        values = [a * x + b * y + c * z for a, b, c in combos]
+        top = next((r for r, v in enumerate(values) if v), None)
+        if top is None:
             continue
-        mat[top], mat[pivot_row] = mat[pivot_row], mat[top]
-        head = mat[top]
-        lead = head[col]
-        for r in range(top + 1, len(mat)):
-            m = mat[r][col]
-            if m:
-                g = math.gcd(lead, m)
-                a, b = lead // g, m // g
-                mat[r] = [a * x - b * y for x, y in zip(mat[r], head)]
+        head, lead = combos.pop(top), values.pop(top)
+        for r, v in enumerate(values):
+            if v:
+                g = math.gcd(lead, v)
+                s, t = lead // g, v // g
+                combos[r] = tuple(s * u - t * w for u, w in zip(combos[r], head))
         pivots.append(col)
-        top += 1
-        if top == len(mat):
+        if not combos:
             break
     return pivots
+
+
+def _net_orders(rows: list[list[int]], point: Fraction | None):
+    """(orders at infinity, orders at ``point``) of the integer rows, None
+    being infinity.  Infinity is reduced first, column j being b_{d-j}: it
+    settles the rank, so a rank-deficient net is never shifted to a point."""
+    at_infinity = _echelon_pivots(zip(*map(reversed, rows)))
+    if len(at_infinity) < 3:
+        raise RankDeficientError("basis rows are linearly dependent; rank < 3")
+    if point is None:
+        return at_infinity, at_infinity
+    return at_infinity, _echelon_pivots(_columns_at(rows, point.numerator, point.denominator))
 
 
 def vanishing_sequence(
@@ -177,18 +204,9 @@ def vanishing_sequence(
 ) -> VanishingSequence:
     """The orders of vanishing of the net at ``point``: the pivot columns of
     the echelon form of its integer rows recentred there.  None is infinity,
-    where a polynomial vanishes to order d - deg: rows are reversed, column
-    j is b_{d-j}."""
-    rows = [_integer_row(row)[1] for row in series.basis]
-    if point is None:
-        rows = [row[::-1] for row in rows]
-    else:
-        c = _rational(point, "point")
-        rows = [_shifted(row, c.numerator, c.denominator) for row in rows]
-    pivots = _echelon_pivots(rows)
-    if len(pivots) < 3:
-        raise RankDeficientError("basis rows are linearly dependent; rank < 3")
-    return VanishingSequence(tuple(pivots))
+    where a polynomial vanishes to order d - deg."""
+    c = None if point is None else _rational(point, "point")
+    return VanishingSequence(tuple(_net_orders(_integer_rows(series), c)[1]))
 
 
 def root_sum(coeffs) -> Fraction | None:
@@ -209,16 +227,19 @@ def root_sum_relation(series: PolySeries) -> RootSumRelation | None:
     vanish identically and the degenerate marker is returned.  Returns
     None when no single K works.
     """
-    return _relation_from(series, vanishing_sequence(series).orders)
+    rows = _integer_rows(series)
+    return _relation_from(rows, _net_orders(rows, None)[0])
 
 
-def _relation_from(series: PolySeries, orders) -> RootSumRelation | None:
-    """``root_sum_relation``, read off ``orders``: the net's orders at infinity."""
+def _relation_from(rows: list[list[int]], orders) -> RootSumRelation | None:
+    """``root_sum_relation`` of the integer rows, read off ``orders``: their
+    orders at infinity.  A row's lcm scaling cancels in its root sum."""
     if 1 in orders:
         return None
     if orders[0] != 0:
         return RootSumRelation(Fraction(0), degenerate=True)
-    return RootSumRelation(root_sum(next(row for row in series.basis if row[-1])))
+    row = next(row for row in rows if row[-1])
+    return RootSumRelation(Fraction(-row[-2], row[-1]))
 
 
 def root_sum_criterion(series: PolySeries) -> bool:
@@ -235,12 +256,15 @@ def translate(series: PolySeries, shift: Fraction | int | str) -> PolySeries:
     """
     c = _rational(shift, "shift")
     q, d = c.denominator, series.degree
-    rows = []
-    for row in series.basis:
-        m, ints = _integer_row(row)
-        g = _shifted(ints, c.numerator, q)
-        rows.append(tuple(Fraction(g_j, m * q ** (d - j)) for j, g_j in enumerate(g)))
-    return PolySeries(d, tuple(rows))
+    scales, rows = zip(*(_integer_row(map(Fraction.as_integer_ratio, r)) for r in series.basis))
+    shifted = zip(*_columns_at(rows, c.numerator, q))
+    return PolySeries(
+        d,
+        tuple(
+            tuple(Fraction(g_j, m * q ** (d - j)) for j, g_j in enumerate(g))
+            for m, g in zip(scales, shifted)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +280,10 @@ _LITERAL = re.compile(
 )
 
 
-def parse_rational(text, where: str) -> Fraction:
-    """The exact rational an integer, p/q or plain decimal literal names.
-
-    Digits are ASCII; surrounding ASCII whitespace is ignored.  Exponent
-    notation is refused: a literal such as "1e2000000" is a few bytes long
-    but expands to an integer of millions of digits.  Every failure is a
-    SeriesFormatError whose message starts with ``where``.
-    """
+def _literal(text, where: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an integer, p/q or plain decimal
+    literal: the one reader behind ``parse_rational`` and the series
+    document, whose rules ``parse_rational`` states."""
     if not isinstance(text, str):
         raise SeriesFormatError(f"{where}: expected a rational string, got {text!r}")
     if "e" in text or "E" in text:
@@ -273,15 +293,28 @@ def parse_rational(text, where: str) -> Fraction:
     match = _LITERAL.fullmatch(text)
     if match is None:
         raise SeriesFormatError(f"{where} expects an exact rational, got {text!r}")
+    num, den, whole, frac = match.groups()
     try:
-        if match["num"] is not None:
-            return Fraction(int(match["num"]), int(match["den"] or 1))
-        frac = match["frac"]
-        return Fraction(int(match["whole"] + frac), 10 ** len(frac))
-    except ZeroDivisionError:
-        raise SeriesFormatError(f"{where}: zero denominator in {text!r}") from None
+        if num is not None:
+            n, q = int(num), int(den or 1)
+        else:
+            n, q = int(whole + frac), 10 ** len(frac)
     except ValueError:
         raise SeriesFormatError(f"{where} expects an exact rational, got {text!r}") from None
+    if not q:
+        raise SeriesFormatError(f"{where}: zero denominator in {text!r}")
+    return n, q
+
+
+def parse_rational(text, where: str) -> Fraction:
+    """The exact rational an integer, p/q or plain decimal literal names.
+
+    Digits are ASCII; surrounding ASCII whitespace is ignored.  Exponent
+    notation is refused: a literal such as "1e2000000" is a few bytes long
+    but expands to an integer of millions of digits.  Every failure is a
+    SeriesFormatError whose message starts with ``where``.
+    """
+    return Fraction(*_literal(text, where))
 
 
 def _rational(value, where: str) -> Fraction:
@@ -292,7 +325,9 @@ def _rational(value, where: str) -> Fraction:
     return Fraction(value)
 
 
-def series_from_json(text: str) -> PolySeries:
+def _read_net(text: str) -> list[list[tuple[int, int]]]:
+    """The basis rows of a series document, each coefficient read as
+    (numerator, denominator); the degree is a row's length less one."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -313,10 +348,22 @@ def series_from_json(text: str) -> PolySeries:
             raise SeriesFormatError(
                 f"basis[{i}]: expected a list of {degree + 1} rational strings"
             )
-        rows.append(
-            tuple(parse_rational(entry, f"basis[{i}][{j}]") for j, entry in enumerate(row))
-        )
-    return PolySeries(degree, tuple(rows))
+        rows.append([_literal(entry, f"basis[{i}][{j}]") for j, entry in enumerate(row)])
+    return rows
+
+
+def _integer_net(text: str) -> list[list[int]]:
+    """The basis rows of a series document as integer rows, with no
+    Fraction built: what ``series_from_json`` reads, each row scaled by
+    the lcm of its denominators."""
+    return [_integer_row(row)[1] for row in _read_net(text)]
+
+
+def series_from_json(text: str) -> PolySeries:
+    rows = _read_net(text)
+    return PolySeries(
+        len(rows[0]) - 1, tuple(tuple(Fraction(n, q) for n, q in row) for row in rows)
+    )
 
 
 def series_to_json(series: PolySeries) -> str:

@@ -50,6 +50,7 @@ from .graphs import CircuitGraph, DistinguishedTree, _apply, from_key
 __all__ = [
     "DEFAULT_CLASS_CEILING",
     "MAX_EXTRA_VERTICES",
+    "MAX_LABEL_CELLS",
     "POSITIVE_PARTITION_NOTE",
     "ResourceGuardError",
     "ShapeClass",
@@ -65,6 +66,8 @@ __all__ = [
 
 DEFAULT_CLASS_CEILING = 500_000
 MAX_EXTRA_VERTICES = 4
+# A full-mode listing spells 3d - 1 leg labels per class: at most this many in all.
+MAX_LABEL_CELLS = 2_000_000
 POSITIVE_PARTITION_NOTE = "positive partition, geometrically avoided"
 
 Shape = DistinguishedTree | CircuitGraph
@@ -443,7 +446,9 @@ def enumerate_shapes(
     skeleton's floor (``_profile_floor``, one binomial, or ``_marked_floor``,
     a capped power) is checked before its Burnside sum, whose cost grows
     with d, so a refusal at large d is cheap; the total it reports then
-    counts that skeleton by its floor, at most its exact count.
+    counts that skeleton by its floor, at most its exact count.  Full mode
+    is also refused, before any label string is made, when its classes
+    would spell more than ``MAX_LABEL_CELLS`` labels in all (3d-1 each).
     """
     _check_guards(d, max_extra_vertices, ceiling)
     legs_total = 3 * d - 1
@@ -461,6 +466,11 @@ def enumerate_shapes(
         projected += floor if exact else count(autos, req, legs_total)
         _check_projection(projected, ceiling)
         plans.append((skel, autos, req))
+    if not collapsed and projected * legs_total > MAX_LABEL_CELLS:
+        raise ResourceGuardError(
+            f"projected label count {projected * legs_total} exceeds the desk-scale "
+            f"guard {MAX_LABEL_CELLS}"
+        )
     names = None if collapsed else tuple(map(str, range(legs_total + 1)))  # label x's string
     out: list[ShapeClass] = []
     for skel, autos, req in plans:

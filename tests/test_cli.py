@@ -3,10 +3,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -279,6 +281,21 @@ class TestStrata:
         assert rc == 4
         assert err == "error: projected class count 375 exceeds the ceiling 374\n"
 
+    @pytest.mark.parametrize("circuits", [[], ["--include-circuits"]])
+    @pytest.mark.parametrize(
+        "d, cells", [("10000000", 29_999_999), ("666668", 2_000_003)]
+    )
+    def test_guard_label_cells_before_any_label(self, capsys, monkeypatch, circuits, d, cells):
+        # One class passes the class ceiling, but it would spell 3d - 1 labels;
+        # at d = 10**7 building them died with a MemoryError.
+        def labelled_keys(*_):
+            raise AssertionError("labels spelled")
+
+        monkeypatch.setattr(strata, "_labelled_keys", labelled_keys)
+        rc, out, err = run(capsys, ["strata", "--d", d, "--max-extra", "0", "--full", *circuits])
+        assert (rc, out) == (4, "")
+        assert err == f"error: projected label count {cells} exceeds the desk-scale guard 2000000\n"
+
     def test_guard_trips_before_building_every_skeleton(self, capsys):
         # The exact projection is accumulated one skeleton at a time, so the
         # refusal comes long before the 4-extra-vertex skeletons of degree 24
@@ -546,6 +563,16 @@ class TestSeries:
         assert rc == 2
         assert "missing.json" in err
 
+    def test_file_name_read_as_path_spells_it(self, capsys, tmp_path, monkeypatch):
+        # A Path drops "./" and a trailing "/" from the name it opens and reports.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.json").write_text(MONOMIAL_NET_JSON)
+        rc, out, _ = run(capsys, ["series", "net.json/"])
+        assert (rc, "orders = (0, 2, 3)\n" in out) == (0, True)
+        rc, out, err = run(capsys, ["series", "./missing.json"])
+        assert (rc, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: 'missing.json'\n"
+
     def test_bad_point_literal(self, capsys, net_path):
         rc, _, err = run(capsys, ["series", net_path, "--at", "x"])
         assert rc == 2
@@ -570,6 +597,128 @@ class TestSeries:
         assert time.perf_counter() - start < 0.5
         assert (rc, out) == (2, "")
         assert err.startswith("error: basis[0][1] expects an exact rational (exponent notation")
+
+    @pytest.mark.parametrize("dependent, code, rounds", [(False, 0, 3), (True, 5, 0)])
+    def test_point_shifts_only_the_columns_read(
+        self, capsys, monkeypatch, tmp_path, dependent, code, rounds
+    ):
+        # Each column at a point is one Horner round of the Taylor shift.  A
+        # generic net has orders (0, 1, 2) there, so three rounds settle it;
+        # a rank-deficient one is refused at infinity before any round.
+        rng = random.Random(4000)
+        rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(4001)]
+                for _ in range(3)]
+        if dependent:
+            rows[2] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"degree": 4000, "basis": [list(map(str, r)) for r in rows]}))
+        columns_at, shifted = series._columns_at, []
+
+        def counted(*args):
+            for column in columns_at(*args):
+                shifted.append(column)
+                yield column
+
+        monkeypatch.setattr(series, "_columns_at", counted)
+        rc, out, err = run(capsys, ["series", str(path), "--at=3/7"])
+        assert (rc, len(shifted)) == (code, rounds)
+        if dependent:
+            assert (out, err) == ("", "error: basis rows are linearly dependent; rank < 3\n")
+        else:
+            assert "orders = (0, 1, 2)\n" in out
+
+
+# Mutations of a series document: each takes (rng, doc) and returns the
+# document's text.
+_BAD_LITERALS = ["1_0", "\u0663", "1e5", "1/0", "\x1c5", ".5", "+-1", "", " ", "1/", "/2", "--1"]
+
+
+def _with_literal(rng, doc):
+    row = rng.choice(doc["basis"])
+    row[rng.randrange(len(row))] = rng.choice(_BAD_LITERALS)
+    return json.dumps(doc)
+
+
+def _with_length(rng, doc):
+    row = rng.choice(doc["basis"])
+    if rng.random() < 0.25:
+        del row[rng.randrange(len(row))]
+    elif rng.random() < 0.33:
+        row.append("1")
+    elif rng.random() < 0.5:
+        doc["basis"].pop()
+    else:
+        doc["basis"].append(list(doc["basis"][0]))
+    return json.dumps(doc)
+
+
+def _with_type(rng, doc):
+    value = rng.choice([1, 1.5, None, True, [], {}, ["1"]])
+    if rng.random() < 0.5:
+        row = rng.choice(doc["basis"])
+        row[rng.randrange(len(row))] = value
+    elif rng.random() < 0.5:
+        doc["basis"][rng.randrange(3)] = value
+    else:
+        doc["basis"] = value
+    return json.dumps(doc)
+
+
+def _with_top(rng, doc):
+    return json.dumps(rng.choice([doc["basis"], "net", 3, None, True]))
+
+
+def _with_degree(rng, doc):
+    doc["degree"] = rng.choice([True, False, 0, -1, "3", 3.0, None])
+    if rng.random() < 0.3:
+        del doc["degree"]
+    return json.dumps(doc)
+
+
+def _truncated(rng, doc):
+    text = json.dumps(doc)
+    return text[: rng.randrange(len(text))]
+
+
+def _dependent(rng, doc):
+    doc["basis"][2] = list(doc["basis"][rng.randrange(2)])
+    return json.dumps(doc)
+
+
+_MUTATIONS = [_with_literal, _with_length, _with_type, _with_top, _with_degree, _truncated, _dependent]
+
+
+class TestSeriesInputFuzz:
+    def test_mutated_documents(self, capsys, tmp_path):
+        # The CLI reads a document into integer rows with no Fraction built; its
+        # exit code and message must be those of the public reader and the
+        # library's vanishing sequence on the same text.
+        rng = random.Random(26)
+        path = tmp_path / "net.json"
+        for case in range(5000):
+            degree = rng.randint(1, 6)
+            doc = {
+                "degree": degree,
+                "basis": [[str(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                           for _ in range(degree + 1)] for _ in range(3)],
+            }
+            text = rng.choice(_MUTATIONS)(rng, doc) if case % 8 else json.dumps(doc)
+            path.write_text(text, encoding="utf-8")
+            at = rng.choice([None, "0", "3/7", "-2/5"])
+            try:
+                orders = series.vanishing_sequence(series.series_from_json(text), at).orders
+                expected = (0, f"orders = ({orders[0]}, {orders[1]}, {orders[2]})\n")
+            except series.SeriesFormatError as exc:
+                expected = (2, f"error: {exc}\n")
+            except series.RankDeficientError as exc:
+                expected = (5, f"error: {exc}\n")
+            rc, out, err = run(capsys, ["series", str(path), *([] if at is None else [f"--at={at}"])])
+            assert rc == expected[0], text
+            if rc:
+                assert (out, err) == ("", expected[1]), text
+                assert len(err) < 300
+            else:
+                assert expected[1] in out and err == "", text
 
 
 class TestParsing:
